@@ -125,13 +125,18 @@ final class DUmts[S](val alpha: Double, val gamma: Double, rng: Random,
     }
   }
 
-  /** UpdateCounters (Algorithm 3) for one query: `costs(s)` is c(s, q) ∈ [0,1].
+  /** UpdateCounters (Algorithm 3) for one query: `costs(s)` is c(s, q) ∈ [0,1];
+    * a cost that is NaN, infinite or outside [0,1] is rejected.
     * Returns the state the system is in *after* processing (the query itself
     * is serviced in the pre-move state; the driver accounts costs that way).
     */
   def observe(costs: S => Double): S = {
     queriesInPhase += 1
-    for (s <- all) phaseCost(s) += costs(s)
+    for (s <- all) {
+      val c = costs(s)
+      require(c >= 0.0 && c <= 1.0, s"cost $c of state $s is not in [0, 1]")
+      phaseCost(s) += c
+    }
     for (s <- active) counter(s) += costs(s)
     val full = active.filter(counter(_) >= alpha)
     active --= full

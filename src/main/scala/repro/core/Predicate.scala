@@ -28,6 +28,10 @@ final case class RangePred(colName: String, lo: Double, hi: Double) extends Pred
 /** Set-membership predicate `col IN (values)` for dictionary-coded columns. */
 final case class InPred(colName: String, values: Set[Double]) extends Predicate {
   require(values.nonEmpty, s"empty IN set on $colName")
+  /** Bit `c` set iff code `c` ∈ [0, 64) is among the values: what partition
+    * code masks are tested against (computed once, not per evaluation).
+    */
+  private[core] val codeMask: Long = values.foldLeft(0L)((m, v) => m | LayoutMetadata.codeBitOrZero(v))
   override def matches(v: Double): Boolean = values.contains(v)
   override def toColumn: Column = col(colName).isin(values.toSeq: _*)
   override def toSql: String =

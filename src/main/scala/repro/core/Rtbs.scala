@@ -28,10 +28,11 @@ final class Rtbs[T](capacity: Int, lambda: Double, rng: Random) {
   def size: Int = heap.size
 
   def add(item: T): Unit = {
-    // log-domain key: log(u)·e^{-λt}  ⇔  key ranking of u^{1/w}, w = e^{λt}
-    // (multiplying by e^{-λt} instead of dividing by e^{λt} avoids overflow)
+    // A-ES key in log domain: λt − log(−log u) ranks items in the same order
+    // as u^{1/w} with w = e^{λt}. The direct form log(u)·e^{−λt} underflows
+    // to −0.0 once λt passes ≈ 745, and then no new item is ever admitted.
     val logU = math.log(rng.nextDouble() max Double.MinPositiveValue)
-    val key = logU * math.exp(-lambda * t)
+    val key = lambda * t - math.log(-logU)
     t += 1
     if (heap.size < capacity) heap.enqueue(Entry(key, t, item))
     else if (key > heap.head.key) { heap.dequeue(); heap.enqueue(Entry(key, t, item)) }

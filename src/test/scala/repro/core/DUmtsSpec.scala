@@ -215,6 +215,15 @@ class DUmtsSpec extends AnyFunSuite {
     assert(online >= offline, "online can never beat the offline optimum on average")
   }
 
+  test("observe rejects NaN, infinite and out-of-range costs") {
+    for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity, -0.01, 1.01)) {
+      val m = mts(Seq("a", "b"), alpha = 5)
+      withClue(bad)(assertThrows[IllegalArgumentException](m.observe(Map("a" -> 0.5, "b" -> bad))))
+    }
+    val m = mts(Seq("a", "b"), alpha = 5)
+    m.observe(Map("a" -> 0.0, "b" -> 1.0)) // both ends of [0, 1] are accepted
+  }
+
   test("observe returns the post-move state") {
     val m = mts(Seq("a", "b"), alpha = 1)
     val s = m.observe(Map("a" -> 1.0, "b" -> 0.0))

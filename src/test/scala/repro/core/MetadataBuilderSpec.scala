@@ -69,6 +69,31 @@ class MetadataBuilderSpec extends SparkSpec {
     assertThrows[IllegalArgumentException](MetadataBuilder.fromMatrix(m, bad))
   }
 
+  /** A range layout of 65 partitions, one more than the metadata holds. */
+  private val tooMany = RangeLayout("r65", "a", 0, Array.tabulate(64)(_.toDouble))
+
+  test("fromMatrix: more than 64 partitions are rejected") {
+    assertThrows[IllegalArgumentException](MetadataBuilder.fromMatrix(matrix(100), tooMany))
+  }
+
+  test("fromDataFrame: more than 64 partitions are rejected") {
+    assertThrows[IllegalArgumentException](MetadataBuilder.fromDataFrame(toDf(matrix(100)), schema, tooMany))
+  }
+
+  /** Categorical column `c` holds a value that is not a code in [0, 64). */
+  private def badCode(v: Double) = DataMatrix(schema, Array(Array(1.0, 2.0), Array(1.0, v)))
+
+  test("fromMatrix: a categorical value that is not a code in [0, 64) is rejected") {
+    val l = RangeLayout("r", "a", 0, Array(50.0))
+    for (v <- Seq(2.5, -1.0, 64.0))
+      withClue(v)(assertThrows[IllegalArgumentException](MetadataBuilder.fromMatrix(badCode(v), l)))
+  }
+
+  test("fromDataFrame: a categorical value that is not a code in [0, 64) is rejected") {
+    val l = RangeLayout("r", "a", 0, Array(50.0))
+    assertThrows[IllegalArgumentException](MetadataBuilder.fromDataFrame(toDf(badCode(2.5)), schema, l))
+  }
+
   test("fromDataFrame matches fromMatrix on identical data (range layout)") {
     val m = matrix(400, seed = 3)
     val l = RangeLayout("r", "a", 0, Array(25.0, 50.0, 75.0))

@@ -62,6 +62,56 @@ class RtbsSpec extends AnyFunSuite {
     assert(recentFrac(0.05) > recentFrac(0.001))
   }
 
+  /** The sample the key log(u)·e^{−λt} kept before the log-domain key. */
+  private def directKeySample(capacity: Int, lambda: Double, seed: Long, n: Int): IndexedSeq[Int] = {
+    val rng = new Random(seed)
+    val heap = scala.collection.mutable.PriorityQueue.empty[(Double, Int)](
+      Ordering.by((e: (Double, Int)) => (-e._1, e._2)))
+    for (t <- 0 until n) {
+      val key = math.log(rng.nextDouble() max Double.MinPositiveValue) * math.exp(-lambda * t)
+      if (heap.size < capacity) heap.enqueue((key, t))
+      else if (key > heap.head._1) { heap.dequeue(); heap.enqueue((key, t)) }
+    }
+    heap.toIndexedSeq.map(_._2).sorted
+  }
+
+  test("the log-domain key keeps the same sample as the direct key at 30k items") {
+    for (seed <- 1 to 5; capacity <- Seq(50, 200)) {
+      val r = new Rtbs[Int](capacity, 2e-4, new Random(seed))
+      (0 until 30000).foreach(r.add)
+      assert(r.sample == directKeySample(capacity, 2e-4, seed, 30000), s"seed $seed capacity $capacity")
+    }
+  }
+
+  test("sampling does not freeze on a 10M-item stream: ages after 4M match those at 30k") {
+    val lambda = 2e-4
+    val capacity = 200
+    def ages(sample: IndexedSeq[Int], t: Int): IndexedSeq[Int] = sample.map(t - 1 - _)
+    // ages at 30k items, over independent streams
+    val early = (1 to 12).flatMap { seed =>
+      val r = new Rtbs[Int](capacity, lambda, new Random(seed))
+      (0 until 30000).foreach(r.add)
+      ages(r.sample, 30000)
+    }
+    // ages every 500k items from 4.5M to 10M: far apart next to 1/λ = 5k
+    // items, so the samples are independent
+    val r = new Rtbs[Int](capacity, lambda, new Random(99))
+    val late = IndexedSeq.newBuilder[Int]
+    var t = 0
+    for (checkpoint <- 4500000 to 10000000 by 500000) {
+      while (t < checkpoint) { r.add(t); t += 1 }
+      val a = ages(r.sample, t)
+      assert(a.min < 1000, s"no item admitted in the last 1000 of $t")
+      late ++= a
+    }
+    def mean(a: IndexedSeq[Int]) = a.map(_.toDouble).sum / a.size
+    def below(a: IndexedSeq[Int], x: Double) = a.count(_ < x).toDouble / a.size
+    val lateAges = late.result()
+    assert(math.abs(mean(lateAges) / mean(early) - 1) < 0.1, s"mean age ${mean(lateAges)} vs ${mean(early)}")
+    for (x <- Seq(0.5 / lambda, 1 / lambda, 2 / lambda))
+      assert(math.abs(below(lateAges, x) - below(early, x)) < 0.05, s"share of ages below $x")
+  }
+
   test("deterministic for a fixed seed") {
     def s(seed: Long) = {
       val r = new Rtbs[Int](15, 0.005, new Random(seed))
