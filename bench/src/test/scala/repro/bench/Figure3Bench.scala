@@ -19,7 +19,7 @@ import repro.exp.{Datasets, Figure3Exp}
 class Figure3Bench extends SparkSpec {
 
   private lazy val results =
-    Datasets.all.map(ds => ds.name -> Figure3Exp.runDataset(spark, ds, sf = 0.02))
+    Datasets.all.map(ds => ds.name -> Figure3Exp.runDataset(BenchSetups(ds)))
       .toMap
 
   test("Figure 3: full grid runs and prints") {

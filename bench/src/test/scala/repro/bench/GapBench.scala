@@ -14,7 +14,7 @@ import repro.exp.{Datasets, GapExp}
 class GapBench extends SparkSpec {
 
   private lazy val results =
-    Seq(Datasets.tpch, Datasets.tpcds).map(ds => GapExp.run(spark, ds, sf = 0.02))
+    Seq(Datasets.tpch, Datasets.tpcds).map(ds => GapExp.run(BenchSetups(ds)))
 
   test("Figure 4: gap-to-optimal runs and prints") {
     println("=== Figure 4 (measured, logical cost units) ===")

@@ -14,7 +14,7 @@ import repro.exp.{Datasets, SweepExp}
 class SweepsBench extends SparkSpec {
 
   test("Figure 5: alpha sweep") {
-    val ps = SweepExp.alphaSweep(spark, Datasets.tpch, sf = 0.02)
+    val ps = SweepExp.alphaSweep(BenchSetups(Datasets.tpch))
     println("=== Figure 5 (alpha sweep, TPCH) ===")
     println(SweepExp.formatAlpha(ps))
     println("paper: 35 changes at alpha=10 down to 18 at alpha=300")
@@ -30,7 +30,7 @@ class SweepsBench extends SparkSpec {
   }
 
   test("Figure 6: epsilon sweep") {
-    val ps = SweepExp.epsilonSweep(spark, Datasets.tpch, sf = 0.02)
+    val ps = SweepExp.epsilonSweep(BenchSetups(Datasets.tpch))
     println("=== Figure 6 (epsilon sweep, TPCH) ===")
     println(SweepExp.formatEps(ps))
     println("paper: state space shrinks with epsilon; performance insensitive")

@@ -36,7 +36,7 @@ object TableIIJob {
     val spark = Jobs.session("tableII")
     val sf = args.headOption.map(_.toDouble).getOrElse(0.05)
     val scale = args.lift(1).map(_.toDouble).getOrElse(1.0)
-    println(TableIIExp.format(TableIIExp.run(spark, sf, scale)))
+    println(TableIIExp.format(TableIIExp.run(Datasets.all.map(Lab.setup(spark, _, sf, scale)))))
     spark.stop()
   }
 }
@@ -47,7 +47,7 @@ object Figure3Job {
     val spark = Jobs.session("figure3")
     val sf = args.headOption.map(_.toDouble).getOrElse(0.05)
     val scale = args.lift(1).map(_.toDouble).getOrElse(1.0)
-    val results = Datasets.all.map(ds => Figure3Exp.runDataset(spark, ds, sf, scale))
+    val results = Datasets.all.map(ds => Figure3Exp.runDataset(Lab.setup(spark, ds, sf, scale)))
     println(Figure3Exp.format(results))
     spark.stop()
   }
@@ -59,7 +59,7 @@ object GapJob {
     val spark = Jobs.session("gap")
     val sf = args.headOption.map(_.toDouble).getOrElse(0.05)
     val scale = args.lift(1).map(_.toDouble).getOrElse(1.0)
-    val rs = Seq(Datasets.tpch, Datasets.tpcds).map(ds => GapExp.run(spark, ds, sf, scale))
+    val rs = Seq(Datasets.tpch, Datasets.tpcds).map(ds => GapExp.run(Lab.setup(spark, ds, sf, scale)))
     println(GapExp.format(rs))
     spark.stop()
   }
@@ -71,10 +71,11 @@ object SweepsJob {
     val spark = Jobs.session("sweeps")
     val sf = args.headOption.map(_.toDouble).getOrElse(0.05)
     val scale = args.lift(1).map(_.toDouble).getOrElse(1.0)
+    val tpch = Lab.setup(spark, Datasets.tpch, sf, scale)
     println("— Figure 5 (alpha sweep, TPCH) —")
-    println(SweepExp.formatAlpha(SweepExp.alphaSweep(spark, Datasets.tpch, sf, scale)))
+    println(SweepExp.formatAlpha(SweepExp.alphaSweep(tpch)))
     println("— Figure 6 (epsilon sweep, TPCH) —")
-    println(SweepExp.formatEps(SweepExp.epsilonSweep(spark, Datasets.tpch, sf, scale)))
+    println(SweepExp.formatEps(SweepExp.epsilonSweep(tpch)))
     spark.stop()
   }
 }

@@ -16,11 +16,15 @@ object CandidateStream {
 
   /** Workload-sampling source for candidate generation (§VI-D4). */
   sealed trait Source { def tag: String }
+  /** A source that [[compute]] generates from one workload sample. */
+  sealed trait Sampled extends Source
   /** Sliding window of recent queries (the paper's default). */
-  case object SW extends Source { val tag = "sw" }
+  case object SW extends Sampled { val tag = "sw" }
   /** Time-biased reservoir sample. */
-  case object RS extends Source { val tag = "rs" }
-  /** Union: at each epoch, one candidate from each source. */
+  case object RS extends Sampled { val tag = "rs" }
+  /** Union: at each epoch, the SW candidate then the RS candidate — the SW
+    * and RS streams merged by `atQuery` ([[repro.exp.Lab.Setup.candidates]]).
+    */
   case object SWRS extends Source { val tag = "swrs" }
 
   /** @param windowSize sliding window length (paper default: 200)
@@ -39,29 +43,25 @@ object CandidateStream {
     * the dataset — see DESIGN.md §2 on simulation-mode metadata).
     */
   def compute(workload: Workload, data: DataMatrix, gen: LayoutGen,
-              source: Source, cfg: GenConfig = GenConfig()): Vector[Candidate] = {
+              source: Sampled, cfg: GenConfig = GenConfig()): Vector[Candidate] = {
     val buildSample = data.sample(cfg.sampleRows, cfg.seed)
     val window = mutable.Queue.empty[Query]
     val reservoir = new Rtbs[Query](cfg.rsCapacity, cfg.rsLambda, new Random(cfg.seed + 1))
     val out = Vector.newBuilder[Candidate]
     var epoch = 0
-
-    def emit(atQuery: Int, qs: Seq[Query], tag: String): Unit = if (qs.nonEmpty) {
-      val id = s"${gen.name}-$tag-$epoch"
-      val layout = gen.generate(buildSample, qs, cfg.k, id)
-      out += Candidate(atQuery, LayoutState(layout, MetadataBuilder.fromMatrix(data, layout)))
-    }
-
     for ((q, i) <- workload.queries.zipWithIndex) {
       window.enqueue(q)
       if (window.size > cfg.windowSize) window.dequeue()
       reservoir.add(q)
       if ((i + 1) % cfg.every == 0) {
         epoch += 1
-        source match {
-          case SW   => emit(i, window.toSeq, "sw")
-          case RS   => emit(i, reservoir.sample, "rs")
-          case SWRS => emit(i, window.toSeq, "sw"); emit(i, reservoir.sample, "rs")
+        val qs = source match {
+          case SW => window.toSeq
+          case RS => reservoir.sample
+        }
+        if (qs.nonEmpty) {
+          val layout = gen.generate(buildSample, qs, cfg.k, s"${gen.name}-${source.tag}-$epoch")
+          out += Candidate(i, state(layout, data))
         }
       }
     }

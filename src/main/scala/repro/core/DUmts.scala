@@ -136,8 +136,8 @@ final class DUmts[S](val alpha: Double, val gamma: Double, rng: Random,
       val c = costs(s)
       require(c >= 0.0 && c <= 1.0, s"cost $c of state $s is not in [0, 1]")
       phaseCost(s) += c
+      if (active.contains(s)) counter(s) += c
     }
-    for (s <- active) counter(s) += costs(s)
     val full = active.filter(counter(_) >= alpha)
     active --= full
     if (!active.contains(cur)) {

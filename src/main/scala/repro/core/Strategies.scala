@@ -104,6 +104,26 @@ final class RegretStrategy(initial: LayoutState, alpha: Double,
   override def current: LayoutState = cur
 }
 
+/** A strategy driven by the D-UMTS reorganizer over layout states keyed by
+  * id: each query moves the system iff D-UMTS leaves its current state.
+  *
+  * @param initialStates the starting state space; the first is current
+  */
+abstract class UmtsStrategy(initialStates: Seq[LayoutState], alpha: Double, gamma: Double,
+                            rng: Random) extends Strategy {
+  protected val states = mutable.LinkedHashMap[String, LayoutState](
+    initialStates.map(s => s.id -> s): _*)
+  protected val umts = new DUmts[String](alpha, gamma, rng, states.keys.toSeq)
+
+  override def observe(q: Query): Option[LayoutState] = {
+    val before = umts.current
+    val after = umts.observe(id => states(id).cost(q))
+    if (after != before) Some(states(after)) else None
+  }
+
+  override def current: LayoutState = states(umts.current)
+}
+
 /** OREO: the D-UMTS reorganizer fed by the ε-admission layout manager.
   *
   * @param maxStates cap on the dynamic state space |S|; when exceeded, the
@@ -111,19 +131,16 @@ final class RegretStrategy(initial: LayoutState, alpha: Double,
   */
 final class OreoStrategy(initial: LayoutState, alpha: Double, gamma: Double,
                          manager: LayoutManager, rng: Random,
-                         maxStates: Int = 12) extends Strategy {
+                         maxStates: Int = 12)
+    extends UmtsStrategy(Seq(initial), alpha, gamma, rng) {
   override val name = "OREO"
-  private val states = mutable.LinkedHashMap[String, LayoutState](initial.id -> initial)
-  private val umts = new DUmts[String](alpha, gamma, rng, Seq(initial.id))
   private var maxSeen = 1
   private var admitted = 0
   private var offered = 0
 
   override def observe(q: Query): Option[LayoutState] = {
     manager.observe(q)
-    val before = umts.current
-    val after = umts.observe(id => states(id).cost(q))
-    if (after != before) Some(states(after)) else None
+    super.observe(q)
   }
 
   override def onCandidate(c: LayoutState): Option[LayoutState] = {
@@ -143,8 +160,6 @@ final class OreoStrategy(initial: LayoutState, alpha: Double, gamma: Double,
     None // additions never move the system; removals avoid the current state
   }
 
-  override def current: LayoutState = states(umts.current)
-
   def stateSpaceSize: Int = states.size
   def maxStateSpaceSize: Int = maxSeen
   def admittedCount: Int = admitted
@@ -156,18 +171,8 @@ final class OreoStrategy(initial: LayoutState, alpha: Double, gamma: Double,
   * space precomputed with workload knowledge (the best layout per template).
   */
 final class MtsOptimalStrategy(initial: LayoutState, fixed: Seq[LayoutState],
-                               alpha: Double, gamma: Double, rng: Random) extends Strategy {
+                               alpha: Double, gamma: Double, rng: Random)
+    extends UmtsStrategy(initial +: fixed, alpha, gamma, rng) {
   override val name = "MTS Optimal"
-  private val states = mutable.LinkedHashMap[String, LayoutState](
-    (initial +: fixed).map(s => s.id -> s): _*)
-  private val umts = new DUmts[String](alpha, gamma, rng, states.keys.toSeq)
-
-  override def observe(q: Query): Option[LayoutState] = {
-    val before = umts.current
-    val after = umts.observe(id => states(id).cost(q))
-    if (after != before) Some(states(after)) else None
-  }
-
   override def onCandidate(c: LayoutState): Option[LayoutState] = None
-  override def current: LayoutState = states(umts.current)
 }

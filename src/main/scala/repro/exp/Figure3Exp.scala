@@ -1,7 +1,7 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
-import repro.core.CandidateStream.{GenConfig, SW}
+import repro.core.CandidateStream.SW
 import repro.core._
 import repro.layout.{LayoutGen, QdTreeGen, ZOrderGen}
 import scala.util.Random
@@ -10,20 +10,13 @@ import scala.util.Random
   * Greedy, Regret and OREO, for Qd-tree and Z-order layout generation, on
   * the three datasets.
   *
-  * Costs are logical (fraction-of-data units; the paper's own proxy) and
-  * are optionally converted to seconds using a physically measured pair
-  * (full-scan seconds, reorg seconds) from the Table I harness.
+  * Costs are logical (fraction-of-data units; the paper's own proxy).
   */
 object Figure3Exp {
 
   final case class Cell(method: String, gen: String, queryCost: Double,
                         reorgCost: Double, switches: Int) {
     def totalCost: Double = queryCost + reorgCost
-    /** Convert logical costs into seconds: query cost is in full-scan units
-      * and each reorganization costs one physical rewrite.
-      */
-    def seconds(scanSec: Double, reorgSec: Double): (Double, Double) =
-      (queryCost * scanSec, switches * reorgSec)
   }
 
   final case class DatasetResult(dataset: String, cells: Seq[Cell]) {
@@ -31,17 +24,13 @@ object Figure3Exp {
       cells.find(c => c.method == method && c.gen == gen).get
   }
 
-  def runDataset(spark: SparkSession, ds: DatasetSpec, sf: Double, scale: Double = 1.0,
-                 alpha: Double = 80, epsilon: Double = 0.08, k: Int = 32,
+  def runDataset(setup: Lab.Setup, alpha: Double = 80, epsilon: Double = 0.08,
                  gens: Seq[LayoutGen] = Seq(QdTreeGen, ZOrderGen),
                  seeds: Seq[Long] = Seq(1L, 2L, 3L)): DatasetResult = {
-    val nQ = math.max(400, (ds.paperQueries * scale).toInt)
-    val workload = ds.mkWorkload(nQ, ds.paperSegments, 42 + ds.name.hashCode % 97)
-    val data = Lab.matrix(spark, ds, sf)
-    val default = Lab.defaultState(data, ds, k)
+    import setup.{default, workload}
     val cells = for (gen <- gens) yield {
-      val candidates = CandidateStream.compute(workload, data, gen, SW, GenConfig(k = k))
-      val static = Lab.staticState(data, workload, gen, k)
+      val candidates = setup.candidates(gen, SW)
+      val static = Lab.staticState(setup.data, workload, gen, setup.k)
 
       val staticRes = Simulator.run(workload, static, Nil, new StaticStrategy(static), alpha)
       val greedyRes = Simulator.run(workload, default, candidates,
@@ -54,7 +43,7 @@ object Figure3Exp {
         Cell(r.name, gen.name, r.queryCost, r.reorgCost, r.switches)
       }
     }
-    DatasetResult(ds.name, cells.flatten)
+    DatasetResult(setup.ds.name, cells.flatten)
   }
 
   def format(results: Seq[DatasetResult]): String = {

@@ -1,7 +1,6 @@
 package repro.exp
 
-import org.apache.spark.sql.SparkSession
-import repro.core.CandidateStream.{GenConfig, SW}
+import repro.core.CandidateStream.SW
 import repro.core._
 import repro.layout.QdTreeGen
 import scala.util.Random
@@ -20,15 +19,11 @@ object GapExp {
     def oreoVsOfflineQueryGap: Double = oreo.queryCost / offline.queryCost - 1
   }
 
-  def run(spark: SparkSession, ds: DatasetSpec, sf: Double, scale: Double = 1.0,
-          alpha: Double = 80, epsilon: Double = 0.08, k: Int = 32,
+  def run(setup: Lab.Setup, alpha: Double = 80, epsilon: Double = 0.08,
           seeds: Seq[Long] = Seq(1L, 2L, 3L)): Result = {
-    val nQ = math.max(400, (ds.paperQueries * scale).toInt)
-    val workload = ds.mkWorkload(nQ, ds.paperSegments, 42 + ds.name.hashCode % 97)
-    val data = Lab.matrix(spark, ds, sf)
-    val default = Lab.defaultState(data, ds, k)
-    val candidates = CandidateStream.compute(workload, data, QdTreeGen, SW, GenConfig(k = k))
-    val best = Lab.templateBest(data, ds, QdTreeGen, k)
+    import setup.{default, workload}
+    val candidates = setup.candidates(QdTreeGen, SW)
+    val best = Lab.templateBest(setup.data, setup.ds, QdTreeGen, setup.k)
 
     val oreo = Lab.oreoAvg(workload, default, candidates, alpha, 1.0, epsilon, 0, seeds)
     val mtsOpt = Lab.avg(seeds.map { s =>
@@ -36,7 +31,7 @@ object GapExp {
         new MtsOptimalStrategy(default, best.values.toSeq, alpha, 1.0, new Random(s)), alpha)
     })
     val offline = Simulator.offlineOptimal(workload, default, best, alpha)
-    Result(ds.name, oreo, mtsOpt, offline)
+    Result(setup.ds.name, oreo, mtsOpt, offline)
   }
 
   def format(rs: Seq[Result]): String = {

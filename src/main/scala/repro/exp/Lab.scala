@@ -1,15 +1,49 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
+import repro.core.CandidateStream.{GenConfig, RS, SW, SWRS, Sampled, Source}
 import repro.core._
 import repro.layout.{LayoutGen, RangeLayout}
 import repro.workload.Workload
+import scala.collection.mutable
 import scala.util.Random
 
-/** Shared helpers for the experiment harnesses: building the default /
-  * static / per-template-best layout states and seed-averaging MTS runs.
+/** Shared helpers for the experiment harnesses: the per-dataset [[Lab.Setup]],
+  * building the default / static / per-template-best layout states and
+  * seed-averaging MTS runs.
   */
 object Lab {
+
+  /** One dataset's experiment set-up, shared by every harness (§VI evaluates
+    * one fixed set-up per dataset): the query stream, the driver-local
+    * matrix, the default layout and the candidate streams, each built once.
+    * Build it with [[Lab.setup]].
+    */
+  final class Setup private[Lab] (val ds: DatasetSpec, val k: Int, val workload: Workload,
+                                  val data: DataMatrix, val default: LayoutState) {
+    private val streams = mutable.Map.empty[(LayoutGen, Sampled), Vector[Candidate]]
+
+    /** The candidate stream of `gen` over the workload, computed on first use.
+      * `SWRS` is the SW and RS streams merged stably by `atQuery`.
+      */
+    def candidates(gen: LayoutGen, source: Source): Vector[Candidate] = source match {
+      case s: Sampled => streams.getOrElseUpdate((gen, s),
+        CandidateStream.compute(workload, data, gen, s, GenConfig(k = k)))
+      case SWRS => (candidates(gen, SW) ++ candidates(gen, RS)).sortBy(_.atQuery)
+    }
+  }
+
+  /** Build the set-up of `ds` at scale factor `sf`: a stream of the paper's
+    * length for the dataset times `scale` (at least 400 queries) and
+    * layouts of `k` partitions.
+    */
+  def setup(spark: SparkSession, ds: DatasetSpec, sf: Double, scale: Double = 1.0,
+            k: Int = 32): Setup = {
+    val nQ = math.max(400, (ds.paperQueries * scale).toInt)
+    val workload = ds.mkWorkload(nQ, ds.paperSegments, 42 + ds.name.hashCode % 97)
+    val data = matrix(spark, ds, sf)
+    new Setup(ds, k, workload, data, defaultState(data, ds, k))
+  }
 
   /** Collect the encoded dataset to a driver-local matrix for simulation. */
   def matrix(spark: SparkSession, ds: DatasetSpec, sf: Double): DataMatrix =

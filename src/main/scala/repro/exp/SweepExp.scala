@@ -1,8 +1,6 @@
 package repro.exp
 
-import org.apache.spark.sql.SparkSession
-import repro.core.CandidateStream.{GenConfig, SW}
-import repro.core._
+import repro.core.CandidateStream.SW
 import repro.layout.QdTreeGen
 
 /** Figures 5 & 6 reproduction: sensitivity of OREO to the reorganization
@@ -17,16 +15,11 @@ object SweepExp {
   final case class EpsPoint(epsilon: Double, queryCost: Double, reorgCost: Double,
                             switches: Int, maxStates: Int)
 
-  def alphaSweep(spark: SparkSession, ds: DatasetSpec, sf: Double, scale: Double = 1.0,
-                 alphas: Seq[Double] = Seq(10, 20, 40, 80, 170, 300),
-                 epsilon: Double = 0.08, k: Int = 32,
-                 seeds: Seq[Long] = Seq(1L, 2L, 3L)): Seq[AlphaPoint] = {
-    val nQ = math.max(400, (ds.paperQueries * scale).toInt)
-    val workload = ds.mkWorkload(nQ, ds.paperSegments, 42 + ds.name.hashCode % 97)
-    val data = Lab.matrix(spark, ds, sf)
-    val default = Lab.defaultState(data, ds, k)
-    val candidates = CandidateStream.compute(workload, data, QdTreeGen, SW, GenConfig(k = k))
-    val static = Lab.staticState(data, workload, QdTreeGen, k)
+  def alphaSweep(setup: Lab.Setup, alphas: Seq[Double] = Seq(10, 20, 40, 80, 170, 300),
+                 epsilon: Double = 0.08, seeds: Seq[Long] = Seq(1L, 2L, 3L)): Seq[AlphaPoint] = {
+    import setup.{default, workload}
+    val candidates = setup.candidates(QdTreeGen, SW)
+    val static = Lab.staticState(setup.data, workload, QdTreeGen, setup.k)
     val staticQuery = workload.queries.iterator.map(static.cost).sum
     alphas.map { a =>
       val r = Lab.oreoAvg(workload, default, candidates, a, 1.0, epsilon, 0, seeds)
@@ -34,15 +27,11 @@ object SweepExp {
     }
   }
 
-  def epsilonSweep(spark: SparkSession, ds: DatasetSpec, sf: Double, scale: Double = 1.0,
+  def epsilonSweep(setup: Lab.Setup,
                    epsilons: Seq[Double] = Seq(0.01, 0.02, 0.04, 0.08, 0.16, 0.32),
-                   alpha: Double = 80, k: Int = 32,
-                   seeds: Seq[Long] = Seq(1L, 2L, 3L)): Seq[EpsPoint] = {
-    val nQ = math.max(400, (ds.paperQueries * scale).toInt)
-    val workload = ds.mkWorkload(nQ, ds.paperSegments, 42 + ds.name.hashCode % 97)
-    val data = Lab.matrix(spark, ds, sf)
-    val default = Lab.defaultState(data, ds, k)
-    val candidates = CandidateStream.compute(workload, data, QdTreeGen, SW, GenConfig(k = k))
+                   alpha: Double = 80, seeds: Seq[Long] = Seq(1L, 2L, 3L)): Seq[EpsPoint] = {
+    import setup.{default, workload}
+    val candidates = setup.candidates(QdTreeGen, SW)
     epsilons.map { e =>
       val runs = seeds.map(s => Lab.runOreo(workload, default, candidates, alpha, 1.0, e, 0, s))
       val r = Lab.avg(runs.map(_._1))

@@ -1,8 +1,7 @@
 package repro.exp
 
-import org.apache.spark.sql.SparkSession
-import repro.core.CandidateStream.{GenConfig, RS, SW, SWRS}
-import repro.core._
+import repro.core.CandidateStream
+import repro.core.CandidateStream.{RS, SW, SWRS}
 import repro.layout.QdTreeGen
 
 /** Table II reproduction: impact of the transition distribution (γ), of the
@@ -38,38 +37,24 @@ object TableIIExp {
     def apply(row: String, ds: String): Cell = cells((row, ds))
   }
 
-  /** Run the full grid.
+  /** Run the full grid, one column per set-up; each distinct configuration
+    * runs once per set-up (the `default`, `SW` and `delta=0` rows share one).
     *
-    * @param sf        dataset scale factor
-    * @param nQueries  stream length (paper: 30k / 30k / 24k); `scale` < 1
-    *                  shrinks all streams proportionally for quick runs
     * @param alpha     relative reorganization cost (paper default 80)
     * @param epsilon   admission threshold (paper default 0.08)
     */
-  def run(spark: SparkSession, sf: Double, scale: Double = 1.0, alpha: Double = 80,
-          epsilon: Double = 0.08, k: Int = 32,
-          seeds: Seq[Long] = Seq(1L, 2L, 3L),
-          datasets: Seq[DatasetSpec] = Datasets.all): Result = {
-    val cells = for (ds <- datasets) yield {
-      val nQ = math.max(400, (ds.paperQueries * scale).toInt)
-      val nSeg = ds.paperSegments
-      val workload = ds.mkWorkload(nQ, nSeg, 42 + ds.name.hashCode % 97)
-      val data = Lab.matrix(spark, ds, sf)
-      val default = Lab.defaultState(data, ds, k)
-      val genCfg = GenConfig(k = k)
-      // candidates are shared across all rows that use the same source
-      val bySource = Map[CandidateStream.Source, Seq[Candidate]](
-        SW -> CandidateStream.compute(workload, data, QdTreeGen, SW, genCfg),
-        RS -> CandidateStream.compute(workload, data, QdTreeGen, RS, genCfg),
-        SWRS -> CandidateStream.compute(workload, data, QdTreeGen, SWRS, genCfg),
-      )
-      for (row <- rows) yield {
-        val res = Lab.oreoAvg(workload, default, bySource(row.source),
-          alpha, row.gamma, epsilon, row.delay, seeds)
-        (row.label, ds.name) -> Cell(res.queryCost / 1e3, res.reorgCost / 1e3, res.switches)
-      }
+  def run(setups: Seq[Lab.Setup], alpha: Double = 80, epsilon: Double = 0.08,
+          seeds: Seq[Long] = Seq(1L, 2L, 3L)): Result = {
+    val cells = for {
+      setup <- setups
+      ((source, gamma, delay), same) <- rows.groupBy(r => (r.source, r.gamma, r.delay))
+    } yield {
+      val res = Lab.oreoAvg(setup.workload, setup.default, setup.candidates(QdTreeGen, source),
+        alpha, gamma, epsilon, delay, seeds)
+      val cell = Cell(res.queryCost / 1e3, res.reorgCost / 1e3, res.switches)
+      same.map(row => (row.label, setup.ds.name) -> cell)
     }
-    Result(cells.flatten.toMap, datasets.map(_.name))
+    Result(cells.flatten.toMap, setups.map(_.ds.name))
   }
 
   /** Render the measured grid in the paper's layout. */

@@ -23,6 +23,17 @@ class DUmtsSpec extends AnyFunSuite {
     assert(m.counterOf("b") == 0.5)
   }
 
+  test("observe evaluates each state's cost once per query") {
+    val m = mts(Seq("a", "b", "c"), alpha = 2)
+    m.addState("d") // in S, inactive until the next phase
+    val costs = Map("a" -> 1.0, "b" -> 0.5, "c" -> 0.0, "d" -> 0.25)
+    for (_ <- 1 to 10) {
+      var calls = 0
+      m.observe { s => calls += 1; costs(s) }
+      assert(calls == m.states.size)
+    }
+  }
+
   test("stays put while its counter is below alpha") {
     val m = mts(Seq("a", "b"), alpha = 5)
     for (_ <- 1 to 4) m.observe(Map("a" -> 1.0, "b" -> 0.0))
