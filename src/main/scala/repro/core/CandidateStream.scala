@@ -45,20 +45,22 @@ object CandidateStream {
   def compute(workload: Workload, data: DataMatrix, gen: LayoutGen,
               source: Sampled, cfg: GenConfig = GenConfig()): Vector[Candidate] = {
     val buildSample = data.sample(cfg.sampleRows, cfg.seed)
-    val window = mutable.Queue.empty[Query]
-    val reservoir = new Rtbs[Query](cfg.rsCapacity, cfg.rsLambda, new Random(cfg.seed + 1))
+    // the one query sample `source` reads: (add a query, the current sample)
+    val (add, current): (Query => Unit, () => Seq[Query]) = source match {
+      case SW =>
+        val window = mutable.Queue.empty[Query]
+        (q => { window.enqueue(q); if (window.size > cfg.windowSize) window.dequeue() }, () => window.toSeq)
+      case RS =>
+        val reservoir = new Rtbs[Query](cfg.rsCapacity, cfg.rsLambda, new Random(cfg.seed + 1))
+        (reservoir.add, () => reservoir.sample)
+    }
     val out = Vector.newBuilder[Candidate]
     var epoch = 0
     for ((q, i) <- workload.queries.zipWithIndex) {
-      window.enqueue(q)
-      if (window.size > cfg.windowSize) window.dequeue()
-      reservoir.add(q)
+      add(q)
       if ((i + 1) % cfg.every == 0) {
         epoch += 1
-        val qs = source match {
-          case SW => window.toSeq
-          case RS => reservoir.sample
-        }
+        val qs = current()
         if (qs.nonEmpty) {
           val layout = gen.generate(buildSample, qs, cfg.k, s"${gen.name}-${source.tag}-$epoch")
           out += Candidate(i, state(layout, data))

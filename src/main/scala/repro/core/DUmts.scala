@@ -29,21 +29,23 @@ final class DUmts[S](val alpha: Double, val gamma: Double, rng: Random,
   require(gamma >= 0, "gamma must be non-negative")
   require(initialStates.nonEmpty, "need at least one initial state")
 
-  /** All known states (the dynamic S); insertion-ordered for determinism. */
-  private val all = mutable.LinkedHashSet[S](initialStates: _*)
-  /** States whose counters are not yet full in this phase (S_A). */
-  private val active = mutable.LinkedHashSet[S](initialStates: _*)
-  /** BLS counters, kept for every state in S. */
-  private val counter = mutable.LinkedHashMap[S, Double](initialStates.map(_ -> 0.0): _*)
-  /** Full-phase accrued cost per state — unlike the counters, this keeps
-    * accruing after a state's counter fills, so the predictor sees each
-    * state's true average cost over the whole phase (§IV-C).
+  /** Per-state record of the solver.
+    *
+    * @param counter   BLS counter
+    * @param phaseCost full-phase accrued cost — unlike the counter, this keeps
+    *                  accruing after the counter fills, so the predictor sees
+    *                  the state's true average cost over the whole phase (§IV-C)
+    * @param weight    predictor weight = avg fraction skipped in the previous
+    *                  phase (1.0 until the state has one)
+    * @param active    counter not yet full in this phase (the state is in S_A)
+    * @param pending   added mid-phase: no real counter history until the next reset
     */
-  private val phaseCost = mutable.LinkedHashMap[S, Double](initialStates.map(_ -> 0.0): _*)
-  /** Predictor weight per state = avg fraction skipped in the previous phase. */
-  private val weight = mutable.LinkedHashMap[S, Double](initialStates.map(_ -> 1.0): _*)
-  /** States added mid-phase: no real counter history until the next reset. */
-  private val pendingNew = mutable.Set.empty[S]
+  private final class Slot(var counter: Double, var phaseCost: Double, var weight: Double,
+                           var active: Boolean, var pending: Boolean)
+
+  /** All known states (the dynamic S), insertion-ordered for determinism. */
+  private val slots = mutable.LinkedHashMap[S, Slot](
+    initialStates.map(_ -> new Slot(0.0, 0.0, 1.0, active = true, pending = false)): _*)
 
   private var cur: S = initialStates.head
   private var queriesInPhase: Int = 0
@@ -51,26 +53,28 @@ final class DUmts[S](val alpha: Double, val gamma: Double, rng: Random,
   private var _phases: Int = 1
 
   def current: S = cur
-  def states: Set[S] = all.toSet
-  def activeStates: Set[S] = active.toSet
+  def states: Set[S] = slots.keySet.toSet
+  def activeStates: Set[S] = slots.collect { case (s, slot) if slot.active => s }.toSet
   def switches: Int = _switches
   def phases: Int = _phases
-  def counterOf(s: S): Double = counter.getOrElse(s, alpha)
+  def counterOf(s: S): Double = slots.get(s).fold(alpha)(_.counter)
+
+  private def isActive(s: S): Boolean = slots.get(s).exists(_.active)
 
   /** Draw the next state from the active set using the γ-weighted predictor
     * distribution (Theorem IV.2 setup); uniform when γ = 0.
     */
   private def pickNext(): S = {
-    val cands = active.toIndexedSeq
+    val cands = slots.iterator.filter(_._2.active).toIndexedSeq
     require(cands.nonEmpty, "cannot pick from an empty active set")
-    if (gamma == 0.0 || cands.size == 1) cands(rng.nextInt(cands.size))
+    if (gamma == 0.0 || cands.size == 1) cands(rng.nextInt(cands.size))._1
     else {
-      val ws = cands.map(s => math.pow(math.max(weight.getOrElse(s, 1.0), 1e-9), gamma))
+      val ws = cands.map { case (_, slot) => math.pow(math.max(slot.weight, 1e-9), gamma) }
       val total = ws.sum
       var r = rng.nextDouble() * total
       var i = 0
       while (i < cands.size - 1 && r >= ws(i)) { r -= ws(i); i += 1 }
-      cands(i)
+      cands(i)._1
     }
   }
 
@@ -83,15 +87,15 @@ final class DUmts[S](val alpha: Double, val gamma: Double, rng: Random,
     if (queriesInPhase > 0) {
       // avg fraction skipped = 1 - (full-phase accrued cost) / #queries;
       // only states that observed the whole phase have a meaningful value
-      val seen = all.toSeq.filterNot(pendingNew.contains)
-      val ws = seen.map(s => math.min(1.0, math.max(0.0, 1.0 - phaseCost(s) / queriesInPhase)))
-      for ((s, w) <- seen.zip(ws)) weight(s) = w
+      val seen = slots.values.filterNot(_.pending).toSeq
+      val ws = seen.map(slot => math.min(1.0, math.max(0.0, 1.0 - slot.phaseCost / queriesInPhase)))
+      for ((slot, w) <- seen.zip(ws)) slot.weight = w
       val median = if (ws.isEmpty) 1.0 else ws.sorted.apply(ws.size / 2)
-      for (s <- pendingNew) weight(s) = median
+      for (slot <- slots.values if slot.pending) slot.weight = median
     }
-    pendingNew.clear()
-    active.clear(); active ++= all
-    for (s <- all) { counter(s) = 0.0; phaseCost(s) = 0.0 }
+    for (slot <- slots.values) {
+      slot.pending = false; slot.active = true; slot.counter = 0.0; slot.phaseCost = 0.0
+    }
     queriesInPhase = 0
     _phases += 1
   }
@@ -99,49 +103,48 @@ final class DUmts[S](val alpha: Double, val gamma: Double, rng: Random,
   /** Phase-start selection with the stay-in-place optimization (§IV-A). */
   private def startPhase(): Unit = {
     resetStates()
-    if (!active.contains(cur)) moveTo(pickNext())
+    if (!isActive(cur)) moveTo(pickNext())
     // else: stay — saves the initial random transition cost
   }
 
   /** Add a state (Algorithm 4, lines 12–14): it joins S immediately but only
-    * becomes active at the next phase reset ("defer to the next phase").
+    * becomes active at the next phase reset ("defer to the next phase"); its
+    * counter reads α, so it is not selectable until then.
     */
-  def addState(s: S): Unit = {
-    if (!all.contains(s)) {
-      all += s
-      counter(s) = alpha // not selectable until the next reset
-      phaseCost(s) = 0.0
-      pendingNew += s
-    }
-  }
+  def addState(s: S): Unit =
+    if (!slots.contains(s)) slots(s) = new Slot(alpha, 0.0, 1.0, active = false, pending = true)
 
   /** Remove a state (Algorithm 4, lines 5–11). */
   def removeState(s: S): Unit = {
-    if (all.contains(s)) {
-      require(all.size > 1, "cannot remove the last remaining state")
-      all -= s; active -= s; counter -= s; phaseCost -= s; weight -= s; pendingNew -= s
-      if (active.isEmpty) startPhase()
+    if (slots.contains(s)) {
+      require(slots.size > 1, "cannot remove the last remaining state")
+      slots -= s
+      if (!slots.valuesIterator.exists(_.active)) startPhase()
       if (s == cur) moveTo(pickNext()) // startPhase may already have moved off s
     }
   }
 
   /** UpdateCounters (Algorithm 3) for one query: `costs(s)` is c(s, q) ∈ [0,1];
-    * a cost that is NaN, infinite or outside [0,1] is rejected.
+    * a cost that is NaN, infinite or outside [0,1] is rejected. A state whose
+    * counter reaches α leaves the active set.
     * Returns the state the system is in *after* processing (the query itself
     * is serviced in the pre-move state; the driver accounts costs that way).
     */
   def observe(costs: S => Double): S = {
     queriesInPhase += 1
-    for (s <- all) {
+    var anyActive = false
+    slots.foreachEntry { (s, slot) =>
       val c = costs(s)
       require(c >= 0.0 && c <= 1.0, s"cost $c of state $s is not in [0, 1]")
-      phaseCost(s) += c
-      if (active.contains(s)) counter(s) += c
+      slot.phaseCost += c
+      if (slot.active) {
+        slot.counter += c
+        slot.active = slot.counter < alpha
+        anyActive ||= slot.active
+      }
     }
-    val full = active.filter(counter(_) >= alpha)
-    active --= full
-    if (!active.contains(cur)) {
-      if (active.isEmpty) startPhase()
+    if (!isActive(cur)) {
+      if (!anyActive) startPhase()
       else moveTo(pickNext())
     }
     cur

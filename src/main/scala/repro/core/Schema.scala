@@ -27,7 +27,6 @@ final case class TableSchema(columns: IndexedSeq[ColumnDef]) {
   def indexOf(col: String): Int =
     byName.getOrElse(col, throw new IllegalArgumentException(s"unknown column $col in $names"))
   def apply(i: Int): ColumnDef = columns(i)
-  def isCategorical(col: String): Boolean = columns(indexOf(col)).isCategorical
 }
 
 /** Column-major in-memory copy of (a sample of) an encoded table.

@@ -25,6 +25,9 @@ final case class SimResult(name: String, queryCost: Double, reorgCost: Double,
   * made — the paper's background-reorganization delay model, §VI-D5: "the
   * cost of the reorganization is incurred as soon as the decision is made"
   * but "longer delays lead to increased query costs").
+  *
+  * A candidate stamped `atQuery < 0` is offered before the first query, so a
+  * switch it prompts is in effect from query Δ.
   */
 object Simulator {
 
@@ -45,13 +48,17 @@ object Simulator {
       pending.enqueue((i + 1 + delay, next))
     }
 
+    def offer(i: Int): Unit =
+      while (candQueue.nonEmpty && candQueue.head.atQuery <= i) {
+        decide(i, strategy.onCandidate(candQueue.dequeue().state))
+      }
+
+    offer(-1)
     for ((q, i) <- workload.queries.zipWithIndex) {
       while (pending.nonEmpty && pending.head._1 <= i) effective = pending.dequeue()._2
       queryCost += effective.cost(q)
       decide(i, strategy.observe(q))
-      while (candQueue.nonEmpty && candQueue.head.atQuery <= i) {
-        decide(i, strategy.onCandidate(candQueue.dequeue().state))
-      }
+      offer(i)
       if ((i + 1) % cumEvery == 0) cumulative += queryCost + reorgCost
     }
     SimResult(strategy.name, queryCost, reorgCost, switches, cumulative.result())
@@ -59,27 +66,18 @@ object Simulator {
 
   /** Offline-Optimal oracle (§VI-C): sees the whole workload, switches to the
     * segment's best layout exactly at each template change (no delay, no
-    * regret) — the lower bound used in Figure 4.
+    * regret) — the lower bound used in Figure 4. The oracle's candidates are
+    * each segment's best layout, stamped one query before the segment starts.
     *
     * @param bestOf best precomputed layout per template id
     */
   def offlineOptimal(workload: Workload, initial: LayoutState,
                      bestOf: Map[Int, LayoutState], alpha: Double,
                      cumEvery: Int = 100): SimResult = {
-    var cur = initial
-    var queryCost = 0.0
-    var reorgCost = 0.0
-    var switches = 0
-    val cumulative = Vector.newBuilder[Double]
-    val segStarts = workload.segmentStarts.zip(workload.segmentTemplates).toMap
-    for ((q, i) <- workload.queries.zipWithIndex) {
-      segStarts.get(i).foreach { t =>
-        val best = bestOf.getOrElse(t, cur)
-        if (best.id != cur.id) { cur = best; switches += 1; reorgCost += alpha }
-      }
-      queryCost += cur.cost(q)
-      if ((i + 1) % cumEvery == 0) cumulative += queryCost + reorgCost
+    val candidates = workload.segmentStarts.zip(workload.segmentTemplates).flatMap {
+      case (start, t) => bestOf.get(t).map(Candidate(start - 1, _))
     }
-    SimResult("Offline Optimal", queryCost, reorgCost, switches, cumulative.result())
+    run(workload, initial, candidates, new OfflineOptimalStrategy(initial), alpha,
+      cumEvery = cumEvery)
   }
 }

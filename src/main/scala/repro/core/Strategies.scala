@@ -29,6 +29,20 @@ final class StaticStrategy(layout: LayoutState) extends Strategy {
   override def current: LayoutState = layout
 }
 
+/** Offline-Optimal oracle (§VI-C): adopts every offered layout whose id
+  * differs from its current one and never switches on a query. Fed each
+  * segment's best layout just before the segment starts
+  * ([[Simulator.offlineOptimal]]), it switches exactly at template changes.
+  */
+final class OfflineOptimalStrategy(initial: LayoutState) extends Strategy {
+  override val name = "Offline Optimal"
+  private var cur = initial
+  override def observe(q: Query): Option[LayoutState] = None
+  override def onCandidate(c: LayoutState): Option[LayoutState] =
+    if (c.id == cur.id) None else { cur = c; Some(c) }
+  override def current: LayoutState = cur
+}
+
 /** Greedy baseline (§VI-A3): on each new candidate, switch iff the candidate
   * has a smaller average query cost than the current layout over the sliding
   * window of recent queries — reorganization cost is ignored.
@@ -145,17 +159,21 @@ final class OreoStrategy(initial: LayoutState, alpha: Double, gamma: Double,
 
   override def onCandidate(c: LayoutState): Option[LayoutState] = {
     offered += 1
-    if (!states.contains(c.id) && manager.shouldAdmit(c, states.values.toSeq)) {
-      admitted += 1
-      if (states.size >= maxStates) {
-        manager.evictionVictim(states.values.toSeq, umts.current).foreach { victim =>
-          states -= victim
-          umts.removeState(victim)
+    if (!states.contains(c.id)) {
+      val existing = states.values.toSeq
+      val vs = manager.vectors() // shared by the admission test and eviction
+      if (manager.shouldAdmit(c, existing, vs)) {
+        admitted += 1
+        if (states.size >= maxStates) {
+          manager.evictionVictim(existing, umts.current, vs).foreach { victim =>
+            states -= victim
+            umts.removeState(victim)
+          }
         }
+        states(c.id) = c
+        umts.addState(c.id)
+        maxSeen = math.max(maxSeen, states.size)
       }
-      states(c.id) = c
-      umts.addState(c.id)
-      maxSeen = math.max(maxSeen, states.size)
     }
     None // additions never move the system; removals avoid the current state
   }

@@ -1,10 +1,8 @@
 package repro.exp
 
-import org.apache.spark.sql.SparkSession
 import repro.core.CandidateStream.SW
 import repro.core._
 import repro.layout.{LayoutGen, QdTreeGen, ZOrderGen}
-import scala.util.Random
 
 /** Figure 3 reproduction: total query + reorganization cost of Static,
   * Greedy, Regret and OREO, for Qd-tree and Z-order layout generation, on
@@ -52,26 +50,5 @@ object Figure3Exp {
     for (dr <- results; c <- dr.cells)
       sb.append(f"${dr.dataset}%-10s ${c.gen}%-8s ${c.method}%-8s ${c.queryCost}%-10.1f ${c.reorgCost}%-10.1f ${c.totalCost}%-10.1f ${c.switches}%-8d\n")
     sb.toString
-  }
-
-  /** A small physical end-to-end validation of the logical proxy: runs a
-    * random sample of `nPhysical` rewritten (BID-filtered) queries on the
-    * Parquet table and reports (fraction accessed, seconds) pairs, which
-    * should correlate positively (see EXPERIMENTS.md).
-    */
-  def proxyCheck(spark: SparkSession, ds: DatasetSpec, sf: Double, tablePath: String,
-                 state: LayoutState, nPhysical: Int = 20, seed: Long = 3): Seq[(Double, Double)] = {
-    import repro.spark.{BidTable, PhysicalReorg}
-    val rng = new Random(seed)
-    val table = BidTable.read(spark, tablePath)
-    val wl = ds.mkWorkload(1000, ds.paperSegments, 99)
-    (1 to nPhysical).map { _ =>
-      val q = wl.queries(rng.nextInt(wl.queries.size))
-      val frac = state.cost(q)
-      val sec = PhysicalReorg.timed {
-        BidTable.rewrite(table, q, state.metadata).count()
-      }
-      (frac, sec)
-    }
   }
 }

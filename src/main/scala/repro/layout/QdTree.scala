@@ -35,15 +35,6 @@ final case class QdTreeLayout(id: String, root: QdNode, numPartitions: Int) exte
     }
     expr(root)
   }
-
-  /** Depth of the tree (diagnostics). */
-  def depth: Int = {
-    def d(n: QdNode): Int = n match {
-      case QdLeaf(_)               => 1
-      case QdSplit(_, _, _, l, r)  => 1 + math.max(d(l), d(r))
-    }
-    d(root)
-  }
 }
 
 /** Greedy Qd-tree construction (Yang et al., SIGMOD 2020 — basic cuts only,

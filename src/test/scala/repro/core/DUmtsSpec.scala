@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
+import scala.util.hashing.MurmurHash3
 
 class DUmtsSpec extends AnyFunSuite {
 
@@ -239,5 +240,48 @@ class DUmtsSpec extends AnyFunSuite {
     val m = mts(Seq("a", "b"), alpha = 1)
     val s = m.observe(Map("a" -> 1.0, "b" -> 0.0))
     assert(s == m.current && s == "b")
+  }
+
+  /** A seeded 2 000-step schedule with state churn: each step may add a
+    * fresh state or remove a random one (the current one included), then
+    * observes one cost per state; returns the solver and the state it is in
+    * after every step.
+    */
+  private def churn(seed: Long, gamma: Double): (DUmts[String], Vector[String]) = {
+    val sched = new Random(seed)
+    val m = new DUmts[String](3.0, gamma, new Random(seed + 100), Seq("s0", "s1", "s2"))
+    var next = 3
+    val visited = Vector.newBuilder[String]
+    for (_ <- 1 to 2000) {
+      sched.nextInt(25) match {
+        case 0 => m.addState(s"s$next"); next += 1
+        case 1 if m.states.size > 2 =>
+          val sorted = m.states.toSeq.sortBy(_.drop(1).toInt)
+          m.removeState(sorted(sched.nextInt(sorted.size)))
+        case _ =>
+      }
+      val costs = m.states.toSeq.sortBy(_.drop(1).toInt).map { s =>
+        s -> math.min(1.0, (s.drop(1).toInt % 5) / 5.0 + 0.4 * sched.nextDouble())
+      }.toMap
+      visited += m.observe(costs)
+    }
+    (m, visited.result())
+  }
+
+  test("seeded churn schedules visit the pinned states") {
+    // (seed, γ) -> (switches, phases, final current, final states, digest of
+    // the state after every step)
+    val pins = Seq(
+      (11L, 0.0) -> ((61, 184, "s75", Seq(63, 68, 69, 73, 75, 76, 77, 79, 80, 81, 83, 85), 2000495577)),
+      (12L, 1.0) -> ((36, 150, "s70", Seq(63, 68, 70, 72, 73), -397876538)),
+      (13L, 2.0) -> ((34, 168, "s70", Seq(54, 56, 63, 64, 65, 66, 70, 71, 72, 73), 1021702242)))
+    for (((seed, gamma), (switches, phases, current, states, digest)) <- pins) withClue(s"seed $seed: ") {
+      val (m, visited) = churn(seed, gamma)
+      assert(m.switches == switches)
+      assert(m.phases == phases)
+      assert(m.current == current)
+      assert(m.states == states.map(i => s"s$i").toSet)
+      assert(MurmurHash3.orderedHash(visited) == digest)
+    }
   }
 }

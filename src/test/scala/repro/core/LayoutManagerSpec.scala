@@ -107,4 +107,29 @@ class LayoutManagerSpec extends AnyFunSuite {
     (0 until 100).foreach(i => m.observe(query(i % 10, i)))
     assert(m.querySample.size == 50)
   }
+
+  test("a candidate offer builds each state's cost vector at most once, eviction included") {
+    var evals = 0
+    // point query x = v whose predicate list counts reads: c(s, q) reads it once
+    def counted(v: Int, id: Int): Query = {
+      val p = InPred("x", Set(v.toDouble))
+      Query(id, v, new scala.collection.immutable.AbstractSeq[Predicate] {
+        def apply(i: Int): Predicate = p
+        def length: Int = 1
+        def iterator: Iterator[Predicate] = { evals += 1; Iterator.single(p) }
+      })
+    }
+    val m = manager(0.05)
+    val o = new OreoStrategy(state("init", Set.empty), alpha = 50, gamma = 1.0, m,
+      new Random(1), maxStates = 3)
+    (0 until 40).foreach(i => o.observe(counted(i % 10, i)))
+    val n = m.querySample.size
+    for ((id, goodFor) <- Seq("a" -> Set(1), "b" -> Set(2, 3), "c" -> Set(4, 5, 6), "d" -> Set(7, 8))) {
+      val before = o.stateSpaceSize
+      evals = 0
+      o.onCandidate(state(id, goodFor))
+      assert(evals <= (before + 1) * n, s"offer $id: $evals cost evaluations, sample of $n, |S| = $before")
+    }
+    assert(o.admittedCount == 4 && o.stateSpaceSize == 3) // the last two offers evicted
+  }
 }

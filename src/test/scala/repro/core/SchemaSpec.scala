@@ -13,11 +13,6 @@ class SchemaSpec extends SparkSpec {
     assertThrows[IllegalArgumentException](schema.indexOf("nope"))
   }
 
-  test("isCategorical reflects the column definition") {
-    assert(!schema.isCategorical("a"))
-    assert(schema.isCategorical("b"))
-  }
-
   test("matrix row accessor returns column values by index") {
     val m = DataMatrix(schema, Array(Array(1.0, 2.0), Array(10.0, 20.0)))
     assert(m.row(0)(0) == 1.0 && m.row(0)(1) == 10.0)

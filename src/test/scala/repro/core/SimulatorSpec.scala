@@ -107,4 +107,38 @@ class SimulatorSpec extends AnyFunSuite {
       new GreedyStrategy(defaultState, 10), alpha = 10)
     assert(off.totalCost <= greedy.totalCost + 1e-9)
   }
+
+  test("a candidate stamped before query 0 is in effect from query delay, charged alpha") {
+    val good = state("good3", Set(3))
+    for (delay <- Seq(0, 3)) {
+      val r = Simulator.run(flat(10, 3), defaultState, Seq(Candidate(-1, good)),
+        new OfflineOptimalStrategy(defaultState), alpha = 7, delay = delay)
+      // queries before `delay` read the default layout (cost 1.0), the rest good3 (0.1)
+      assert(math.abs(r.queryCost - (delay * 1.0 + (10 - delay) * 0.1)) < 1e-9, s"delay $delay")
+      assert(r.reorgCost == 7.0 && r.switches == 1)
+    }
+  }
+
+  /** Segments at 0, 40, 100, 170 and 220 with templates 2, 2, 5, 7, 2 over
+    * 260 queries; templates 2 and 5 have a best layout, 7 has none.
+    */
+  private val fiveSeg: Workload = {
+    val starts = Vector(0, 40, 100, 170, 220)
+    val templates = Vector(2, 2, 5, 7, 2)
+    Workload(Vector.tabulate(260)(i => query(templates(starts.lastIndexWhere(_ <= i)), i)),
+      starts, templates)
+  }
+  private val fiveSegBest = Map(2 -> state("best2", Set(2)), 5 -> state("best5", Set(5, 6)))
+
+  test("offline optimal gives the pinned costs on a five-segment workload") {
+    val r = Simulator.offlineOptimal(fiveSeg, defaultState, fiveSegBest, alpha = 9)
+    // default→best2 before query 0, →best5 for the segment at 100, →best2 at 220
+    assert((r.queryCost, r.reorgCost, r.switches) == ((60.99999999999995, 27.0, 3)))
+  }
+
+  test("offline optimal's cumulative cost includes a switch from its decision on") {
+    val r = Simulator.offlineOptimal(fiveSeg, defaultState, fiveSegBest, alpha = 9)
+    // the switch for the segment at 100 is decided, and charged, at query 99
+    assert(r.cumulative == Vector(27.99999999999998, 58.99999999999995))
+  }
 }

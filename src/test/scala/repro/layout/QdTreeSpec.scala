@@ -115,13 +115,6 @@ class QdTreeSpec extends AnyFunSuite {
     assert(t1.root == t2.root)
   }
 
-  test("depth is bounded by the number of leaves") {
-    val m = matrix(2000)
-    val qs = (0 until 50).map(i => rangeQ(i * 2.0, i * 2.0 + 3, i))
-    val t = QdTree.build(m, qs, 16, "t")
-    assert(t.depth <= t.numPartitions)
-  }
-
   test("bidColumn agrees with bidOf (via Catalyst evaluation)") {
     // exercised end-to-end in MetadataBuilderSpec (Spark); here check the
     // expression tree is well-formed for a routed sample

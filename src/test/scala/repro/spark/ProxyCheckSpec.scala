@@ -4,7 +4,7 @@ import java.nio.file.Files
 import repro.SparkSpec
 import repro.core._
 import repro.data.TpchLite
-import repro.exp.{Datasets, Figure3Exp, Lab}
+import repro.exp.{Datasets, DatasetSpec}
 import repro.layout.QdTreeGen
 import scala.util.Random
 
@@ -14,6 +14,25 @@ import scala.util.Random
   * proxy for all simulation results (§III-A, refs [7], [15]).
   */
 class ProxyCheckSpec extends SparkSpec {
+
+  /** Runs a random sample of `nPhysical` rewritten (BID-filtered) queries on
+    * the Parquet table at `tablePath` and reports (fraction accessed,
+    * seconds) pairs, which should correlate positively (see EXPERIMENTS.md).
+    */
+  private def proxyCheck(ds: DatasetSpec, tablePath: String, state: LayoutState,
+                         nPhysical: Int, seed: Long = 3): Seq[(Double, Double)] = {
+    val rng = new Random(seed)
+    val table = BidTable.read(spark, tablePath)
+    val wl = ds.mkWorkload(1000, ds.paperSegments, 99)
+    (1 to nPhysical).map { _ =>
+      val q = wl.queries(rng.nextInt(wl.queries.size))
+      val frac = state.cost(q)
+      val sec = PhysicalReorg.timed {
+        BidTable.rewrite(table, q, state.metadata).count()
+      }
+      (frac, sec)
+    }
+  }
 
   test("fraction-accessed proxy pairs are well-formed and selective queries run faster-or-equal work") {
     val dir = Files.createTempDirectory("proxy").toString
@@ -26,7 +45,7 @@ class ProxyCheckSpec extends SparkSpec {
     val state = CandidateStream.state(layout, data)
     BidTable.write(df, TpchLite.schema, layout, s"$dir/t")
 
-    val pairs = Figure3Exp.proxyCheck(spark, Datasets.tpch, 0.002, s"$dir/t", state, nPhysical = 10)
+    val pairs = proxyCheck(Datasets.tpch, s"$dir/t", state, nPhysical = 10)
     assert(pairs.size == 10)
     for ((frac, sec) <- pairs) {
       assert(frac >= 0.0 && frac <= 1.0)
