@@ -63,15 +63,13 @@ object MetadataBuilder {
     override def apply(j: Int): Double = cols(j)(row)
   }
 
-  def fromMatrix(m: DataMatrix, layout: Layout): LayoutMetadata = {
-    val k = checkPartitions(layout)
-    val n = m.numRows
-    // route every row once
-    val bidOfRow = new Array[Int](n)
+  /** Route rows `[from, until)` of `m` into `bidOfRow`; returns their count per BID. */
+  private def route(m: DataMatrix, layout: Layout, k: Int, from: Int, until: Int,
+                    bidOfRow: Array[Int]): Array[Long] = {
     val counts = new Array[Long](k)
     val cursor = new RowCursor(m.cols)
-    var i = 0
-    while (i < n) {
+    var i = from
+    while (i < until) {
       cursor.row = i
       val bid = layout.bidOf(cursor)
       if (bid < 0 || bid >= k)
@@ -80,38 +78,60 @@ object MetadataBuilder {
       counts(bid) += 1
       i += 1
     }
-    // aggregate each column in one sequential pass, then keep non-empty BIDs
-    val bids = (0 until k).filter(counts(_) > 0).toArray
-    val nCols = m.schema.size
-    val mins = new Array[Array[Double]](nCols)
-    val maxs = new Array[Array[Double]](nCols)
-    val codes = new Array[Array[Long]](nCols)
-    var j = 0
-    while (j < nCols) {
-      val col = m.cols(j)
-      val mn = Array.fill(k)(Double.PositiveInfinity)
-      val mx = Array.fill(k)(Double.NegativeInfinity)
+    counts
+  }
+
+  /** Per-BID min, max and (for a column with distinct sets, else null) code
+    * mask of column `j`, over BIDs `0 until k`.
+    */
+  private def aggregate(m: DataMatrix, j: Int, k: Int,
+                        bidOfRow: Array[Int]): (Array[Double], Array[Double], Array[Long]) = {
+    val col = m.cols(j)
+    val n = col.length
+    val mn = Array.fill(k)(Double.PositiveInfinity)
+    val mx = Array.fill(k)(Double.NegativeInfinity)
+    var i = 0
+    while (i < n) {
+      val v = col(i); val b = bidOfRow(i)
+      if (v < mn(b)) mn(b) = v
+      if (v > mx(b)) mx(b) = v
+      i += 1
+    }
+    val c = m.schema(j)
+    if (!keepsCodes(c)) (mn, mx, null)
+    else {
+      val cs = new Array[Long](k)
       i = 0
       while (i < n) {
-        val v = col(i); val b = bidOfRow(i)
-        if (v < mn(b)) mn(b) = v
-        if (v > mx(b)) mx(b) = v
+        cs(bidOfRow(i)) |= LayoutMetadata.codeBit(col(i), c.name)
         i += 1
       }
-      mins(j) = bids.map(mn)
-      maxs(j) = bids.map(mx)
-      val c = m.schema(j)
-      if (keepsCodes(c)) {
-        val cs = new Array[Long](k)
-        i = 0
-        while (i < n) {
-          cs(bidOfRow(i)) |= LayoutMetadata.codeBit(col(i), c.name)
-          i += 1
-        }
-        codes(j) = bids.map(cs)
-      }
-      j += 1
+      (mn, mx, cs)
     }
-    new LayoutMetadata(bids, bids.map(counts), m.schema.names, mins, maxs, codes)
+  }
+
+  /** Driver-local metadata on the shared [[Pool]]: rows are routed in
+    * contiguous chunks, one task each, and each column is aggregated by one
+    * task. Counts, min, max and code masks combine exactly, so the result
+    * does not depend on the pool size. A rejected row or value throws the
+    * same exception, for the same first row, as a sequential pass would.
+    */
+  def fromMatrix(m: DataMatrix, layout: Layout): LayoutMetadata = {
+    val k = checkPartitions(layout)
+    val n = m.numRows
+    val bidOfRow = new Array[Int](n)
+    val chunks = math.max(1, math.min(Pool.size, n))
+    val counts = new Array[Long](k)
+    for (chunk <- Pool.map(chunks)(c =>
+           route(m, layout, k, (c.toLong * n / chunks).toInt, ((c + 1).toLong * n / chunks).toInt, bidOfRow));
+         b <- 0 until k)
+      counts(b) += chunk(b)
+    // keep the non-empty BIDs
+    val bids = (0 until k).filter(counts(_) > 0).toArray
+    val perCol = Pool.map(m.schema.size)(j => aggregate(m, j, k, bidOfRow))
+    new LayoutMetadata(bids, bids.map(counts), m.schema.names,
+      perCol.map { case (mn, _, _) => bids.map(mn) }.toArray,
+      perCol.map { case (_, mx, _) => bids.map(mx) }.toArray,
+      perCol.map { case (_, _, cs) => if (cs == null) null else bids.map(cs) }.toArray)
   }
 }

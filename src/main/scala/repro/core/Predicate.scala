@@ -31,7 +31,7 @@ final case class InPred(colName: String, values: Set[Double]) extends Predicate 
   /** Bit `c` set iff code `c` ∈ [0, 64) is among the values: what partition
     * code masks are tested against (computed once, not per evaluation).
     */
-  private[core] val codeMask: Long = values.foldLeft(0L)((m, v) => m | LayoutMetadata.codeBitOrZero(v))
+  private[repro] val codeMask: Long = values.foldLeft(0L)((m, v) => m | LayoutMetadata.codeBitOrZero(v))
   override def matches(v: Double): Boolean = values.contains(v)
   override def toColumn: Column = col(colName).isin(values.toSeq: _*)
   override def toSql: String =

@@ -182,7 +182,7 @@ object LayoutMetadata {
   /** Mask bit of categorical code `v`; rejects a value that is not an
     * integer in `[0, MetadataBuilder.MaxDistinct)`.
     */
-  private[core] def codeBit(v: Double, column: String): Long = {
+  private[repro] def codeBit(v: Double, column: String): Long = {
     val bit = codeBitOrZero(v)
     if (bit == 0L) throw new IllegalArgumentException(
       s"value $v in column $column is not a code in [0, ${MetadataBuilder.MaxDistinct})")
@@ -196,7 +196,7 @@ object LayoutMetadata {
   }
 
   /** Mask of the codes in `[lo, hi]`, i.e. `[ceil(lo), floor(hi)] ∩ [0, 63]`. */
-  private def codeRange(lo: Double, hi: Double): Long = {
+  private[repro] def codeRange(lo: Double, hi: Double): Long = {
     val a = math.max(math.ceil(lo), 0.0)
     val b = math.min(math.floor(hi), MetadataBuilder.MaxDistinct - 1.0)
     if (a > b) 0L else (-1L << a.toInt) & (-1L >>> (63 - b.toInt))

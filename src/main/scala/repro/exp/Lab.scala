@@ -79,9 +79,10 @@ object Lab {
                    perTemplate: Int = 200, sampleRows: Int = 1000,
                    seed: Long = 6): Map[Int, LayoutState] = {
     val rng = new Random(seed)
+    val sample = data.sample(sampleRows, seed)
     ds.templates.indices.map { t =>
       val qs = Vector.tabulate(perTemplate)(i => Query(i, t, ds.templates(t).instantiate(rng)))
-      val layout = gen.generate(data.sample(sampleRows, seed), qs, k, s"best-t$t-${gen.name}")
+      val layout = gen.generate(sample, qs, k, s"best-t$t-${gen.name}")
       t -> CandidateStream.state(layout, data)
     }.toMap
   }

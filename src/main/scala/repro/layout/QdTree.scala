@@ -46,6 +46,12 @@ final case class QdTreeLayout(id: String, root: QdNode, numPartitions: Int) exte
   * of the query's predicates on the cut column is disjoint from the child's
   * exact value range (and distinct set) on that column — the standard
   * conservative benefit estimate that refines stats only on the cut column.
+  *
+  * Each column of the sample is argsorted once at the root; a split stably
+  * partitions every column's row order into the two children, so no node
+  * sorts again (presorted attribute lists, as in SLIQ, Mehta et al., EDBT
+  * 1996). Distinct sets are 64-bit code masks, tested as [[LayoutMetadata]]
+  * tests them.
   */
 object QdTree {
 
@@ -53,7 +59,8 @@ object QdTree {
 
   /** Build a Qd-tree layout from a data sample and a query workload.
     *
-    * @param sample      data sample (paper: 0.1–1% of the data)
+    * @param sample      data sample (paper: 0.1–1% of the data); a categorical
+    *                    column with distinct sets must hold codes in `[0, 64)`
     * @param queries     workload to optimize for (e.g., the sliding window)
     * @param k           target number of partitions (leaves)
     * @param id          layout id
@@ -64,46 +71,92 @@ object QdTree {
             maxCuts: Int = 256, minLeafFrac: Double = 0.5): QdTreeLayout = {
     require(k >= 1, "k >= 1")
     val schema = sample.schema
+    val nCols = schema.size
     val minLeaf = math.max(1, (minLeafFrac * sample.numRows / k).toInt)
-    val cuts = candidateCuts(schema, queries, maxCuts)
-    val queryArr = queries.toArray
+    val cuts = candidateCuts(schema, queries, maxCuts).toArray
+    val queryPreds = queries.map(_.preds.toArray).toArray
+    val queryCols = queryPreds.map(_.map(p => schema.indexOf(p.colName)))
 
     // Per-column predicate lists (query index, predicate) for benefit checks.
-    val predsByCol: Array[Array[(Int, Predicate)]] = {
-      val m = Array.fill(schema.size)(mutable.ArrayBuffer.empty[(Int, Predicate)])
-      for ((q, qi) <- queryArr.zipWithIndex; p <- q.preds)
-        m(schema.indexOf(p.colName)) += ((qi, p))
-      m.map(_.toArray)
+    val (predQueries, predsByCol): (Array[Array[Int]], Array[Array[Predicate]]) = {
+      val qs = Array.fill(nCols)(mutable.ArrayBuilder.make[Int])
+      val ps = Array.fill(nCols)(mutable.ArrayBuilder.make[Predicate])
+      for (qi <- queryPreds.indices; i <- queryPreds(qi).indices) {
+        qs(queryCols(qi)(i)) += qi
+        ps(queryCols(qi)(i)) += queryPreds(qi)(i)
+      }
+      (qs.map(_.result()), ps.map(_.result()))
     }
     val keepDistinct: Array[Boolean] =
       schema.columns.map(c => c.isCategorical && c.cardinality <= MetadataBuilder.MaxDistinct).toArray
 
-    /** A leaf under construction: its row ids plus per-column sorted values
-      * (for O(log n) split counting and exact child bounds) and distinct sets
-      * for categorical columns.
+    /** A leaf under construction over `rows` sample rows: per column, the
+      * rows in ascending order of the column's value (`order`) and the values
+      * in that order (`sorted`, for O(log n) split counting and exact child
+      * bounds), plus the code mask of each column that keeps distinct sets.
       */
-    final class MutNode(val rows: Array[Int]) {
+    final class MutNode(val rows: Int, val order: Array[Array[Int]]) {
       var split: Option[(Cut, MutNode, MutNode)] = None
-      val sorted: Array[Array[Double]] = Array.tabulate(schema.size) { j =>
-        val a = new Array[Double](rows.length)
+      val sorted: Array[Array[Double]] = Array.tabulate(nCols) { j =>
+        val ord = order(j); val col = sample.cols(j)
+        val a = new Array[Double](rows)
         var i = 0
-        while (i < rows.length) { a(i) = sample.cols(j)(rows(i)); i += 1 }
-        java.util.Arrays.sort(a)
+        while (i < rows) { a(i) = col(ord(i)); i += 1 }
         a
       }
-      val distinct: Array[Set[Double]] = Array.tabulate(schema.size) { j =>
-        if (keepDistinct(j)) sorted(j).toSet else null
+      val codes: Array[Long] = Array.tabulate(nCols) { j =>
+        var mask = 0L
+        if (keepDistinct(j)) {
+          val s = sorted(j); val name = schema(j).name
+          var i = 0
+          while (i < rows) { mask |= LayoutMetadata.codeBit(s(i), name); i += 1 }
+        }
+        mask
       }
       // queries that already skip this whole node gain nothing from any cut
-      val skipsNode: Array[Boolean] =
-        if (rows.isEmpty) Array.fill(queryArr.length)(true)
-        else queryArr.map { q =>
-          q.preds.exists { p =>
-            val j = schema.indexOf(p.colName)
-            ColumnStats(sorted(j)(0), sorted(j)(sorted(j).length - 1), Option(distinct(j)))
-              .canSkip(p)
-          }
+      val skipsNode: Array[Boolean] = Array.tabulate(queryPreds.length) { qi =>
+        rows == 0 || queryPreds(qi).indices.exists(i => canSkip(queryCols(qi)(i), queryPreds(qi)(i)))
+      }
+
+      /** [[ColumnStats.canSkip]] on this node's stats for column `j`. */
+      private def canSkip(j: Int, p: Predicate): Boolean = {
+        val min = sorted(j)(0); val max = sorted(j)(rows - 1)
+        p match {
+          case RangePred(_, lo, hi) =>
+            hi < min || lo > max || keepDistinct(j) && (codes(j) & LayoutMetadata.codeRange(lo, hi)) == 0
+          case in: InPred =>
+            if (keepDistinct(j)) (codes(j) & in.codeMask) == 0 else in.values.forall(v => v < min || v > max)
         }
+      }
+
+      /** The children of a cut: every column's order stably partitioned. */
+      def children(cut: Cut): (MutNode, MutNode) = {
+        val cutCol = sample.cols(cut.colIdx)
+        val goesLeft = new Array[Boolean](sample.numRows) // by row id
+        var nLeft = 0
+        var i = 0
+        while (i < rows) {
+          val row = order(cut.colIdx)(i)
+          goesLeft(row) = cutCol(row) < cut.thr
+          if (goesLeft(row)) nLeft += 1
+          i += 1
+        }
+        val left = Array.fill(nCols)(new Array[Int](nLeft))
+        val right = Array.fill(nCols)(new Array[Int](rows - nLeft))
+        var j = 0
+        while (j < nCols) {
+          val ord = order(j); val l = left(j); val r = right(j)
+          var li = 0; var ri = 0
+          i = 0
+          while (i < rows) {
+            val row = ord(i)
+            if (goesLeft(row)) { l(li) = row; li += 1 } else { r(ri) = row; ri += 1 }
+            i += 1
+          }
+          j += 1
+        }
+        (new MutNode(nLeft, left), new MutNode(rows - nLeft, right))
+      }
     }
 
     /** Count of values strictly below `thr` in ascending `a`. */
@@ -119,33 +172,36 @@ object QdTree {
     /** Best (cut, benefit in skipped sample rows) for a leaf, if any. */
     def bestCut(node: MutNode): Option[(Cut, Long)] = {
       var best: Cut = null; var bestGain = 0L
-      for (cut <- cuts) {
+      var ci = 0
+      while (ci < cuts.length) {
+        val cut = cuts(ci)
         val j = cut.colIdx
         val sj = node.sorted(j)
-        if (sj.nonEmpty && cut.thr > sj.head && cut.thr <= sj.last) {
+        if (sj.nonEmpty && cut.thr > sj(0) && cut.thr <= sj(sj.length - 1)) {
           val nLeft = lowerBound(sj, cut.thr)
           val nRight = sj.length - nLeft
           if (nLeft >= minLeaf && nRight >= minLeaf) {
             val lMin = sj(0); val lMax = sj(nLeft - 1)
             val rMin = sj(nLeft); val rMax = sj(sj.length - 1)
-            val dj = node.distinct(j)
+            val lower = below(cut.thr)
+            val lCodes = node.codes(j) & lower
+            val rCodes = node.codes(j) & ~lower
             var gain = 0L
-            val colPreds = predsByCol(j)
+            val colQueries = predQueries(j); val colPreds = predsByCol(j)
             var pi = 0
             while (pi < colPreds.length) {
-              val (qi, p) = colPreds(pi)
-              if (!node.skipsNode(qi)) {
-                p match {
+              if (!node.skipsNode(colQueries(pi))) {
+                colPreds(pi) match {
                   case RangePred(_, lo, hi) =>
                     if (hi < lMin || lo > lMax) gain += nLeft
                     if (hi < rMin || lo > rMax) gain += nRight
-                  case InPred(_, vs) =>
-                    if (dj != null) {
-                      if (!vs.exists(v => dj.contains(v) && v < cut.thr)) gain += nLeft
-                      if (!vs.exists(v => dj.contains(v) && v >= cut.thr)) gain += nRight
+                  case in: InPred =>
+                    if (keepDistinct(j)) {
+                      if ((in.codeMask & lCodes) == 0) gain += nLeft
+                      if ((in.codeMask & rCodes) == 0) gain += nRight
                     } else {
-                      if (!vs.exists(v => v >= lMin && v <= lMax)) gain += nLeft
-                      if (!vs.exists(v => v >= rMin && v <= rMax)) gain += nRight
+                      if (!in.values.exists(v => v >= lMin && v <= lMax)) gain += nLeft
+                      if (!in.values.exists(v => v >= rMin && v <= rMax)) gain += nRight
                     }
                 }
               }
@@ -154,19 +210,19 @@ object QdTree {
             if (gain > bestGain) { bestGain = gain; best = cut }
           }
         }
+        ci += 1
       }
       if (best == null) None else Some((best, bestGain))
     }
 
-    val root = new MutNode(Array.range(0, sample.numRows))
+    val root = new MutNode(sample.numRows, sample.cols.map(argsort))
     implicit val ord: Ordering[(Long, MutNode, Cut)] = Ordering.by(_._1)
     val pq = mutable.PriorityQueue.empty[(Long, MutNode, Cut)] // max-heap by gain
     bestCut(root).foreach { case (c, g) => pq.enqueue((g, root, c)) }
     var leaves = 1
     while (leaves < k && pq.nonEmpty) {
       val (_, node, cut) = pq.dequeue()
-      val (lRows, rRows) = node.rows.partition(i => sample.cols(cut.colIdx)(i) < cut.thr)
-      val l = new MutNode(lRows); val r = new MutNode(rRows)
+      val (l, r) = node.children(cut)
       node.split = Some((cut, l, r))
       leaves += 1
       for (child <- Seq(l, r); (c, g) <- bestCut(child)) pq.enqueue((g, child, c))
@@ -181,6 +237,39 @@ object QdTree {
     }
     val frozen = freeze(root)
     QdTreeLayout(id, frozen, nextBid)
+  }
+
+  /** Row ids of `col` in ascending order of their values (the order of
+    * `java.util.Arrays.sort`), ties by row id. Each row is keyed by its
+    * value's rank in the sorted column (high 32 bits) and its id (low 32
+    * bits), so one primitive sort of `Long`s orders them.
+    */
+  private def argsort(col: Array[Double]): Array[Int] = {
+    val sorted = col.clone()
+    java.util.Arrays.sort(sorted)
+    val keys = new Array[Long](col.length)
+    var i = 0
+    while (i < col.length) {
+      // rank: the first index of the value in `sorted`, in the sort's total order
+      var lo = 0; var hi = sorted.length
+      while (lo < hi) {
+        val mid = (lo + hi) >>> 1
+        if (java.lang.Double.compare(sorted(mid), col(i)) < 0) lo = mid + 1 else hi = mid
+      }
+      keys(i) = lo.toLong << 32 | i
+      i += 1
+    }
+    java.util.Arrays.sort(keys)
+    val out = new Array[Int](col.length)
+    i = 0
+    while (i < col.length) { out(i) = keys(i).toInt; i += 1 }
+    out
+  }
+
+  /** Mask of the codes `< thr`, i.e. `[0, ceil(thr))` ∩ `[0, 64)`. */
+  private def below(thr: Double): Long = {
+    val c = math.ceil(thr)
+    if (c >= MetadataBuilder.MaxDistinct) -1L else if (c > 0) (1L << c.toInt) - 1 else 0L
   }
 
   /** Candidate cuts from predicate boundaries, deduped, capped by frequency. */

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.layout.{QdTree, RangeLayout}
+import repro.layout.{Layout, QdTree, RangeLayout}
 import scala.util.Random
 
 class MetadataBuilderSpec extends SparkSpec {
@@ -150,5 +150,47 @@ class MetadataBuilderSpec extends SparkSpec {
       val trueFrac = (0 until m.numRows).count(i => q.matchesRow(schema, m.row(i))).toDouble / m.numRows
       assert(meta.fractionAccessed(q) >= trueFrac - 1e-12)
     }
+  }
+
+  /** The metadata of `layout` over `m` by one sequential fold over the rows. */
+  private def sequentialFold(m: DataMatrix, layout: Layout): IndexedSeq[PartitionStats] =
+    (0 until m.numRows).groupBy(i => layout.bidOf(m.row(i))).toIndexedSeq.sortBy(_._1).map { case (bid, rows) =>
+      PartitionStats(bid, rows.size, schema.columns.zipWithIndex.map { case (c, j) =>
+        val vs = rows.map(m.cols(j))
+        c.name -> ColumnStats(vs.min, vs.max, if (c.isCategorical) Some(vs.toSet) else None)
+      }.toMap)
+    }
+
+  test("fromMatrix on the pool equals a sequential fold, for any number of rows per chunk") {
+    val sizes = Seq(0, 1, 2, 3, Pool.size - 1, Pool.size, 25 * Pool.size + 1, 1003).filter(_ >= 0).distinct
+    for (n <- sizes) {
+      val m = matrix(n, seed = n)
+      val qs = (0 until 20).map(i => Query(i, 0, Seq(RangePred("a", i * 5.0, i * 5.0 + 4))))
+      for (l <- Seq(RangeLayout("r", "a", 0, Array.tabulate(7)(i => 12.5 * (i + 1))), QdTree.build(m, qs, 8, "t"))) {
+        val meta = MetadataBuilder.fromMatrix(m, l)
+        assert(meta.partitions == sequentialFold(m, l), s"$n rows, ${l.id}")
+        assert(meta.totalRows == n)
+      }
+    }
+  }
+
+  test("fromMatrix names the first rejected row in row order, and the pool serves the next call") {
+    val n = 1000
+    val m = DataMatrix(schema, Array(Array.tabulate(n)(_.toDouble), Array.fill(n)(1.0)))
+    // rows from 500 on go to BID = row, outside [0, 2); several chunks fail
+    val bad = new Layout {
+      val id = "bad"; val kind = "bad"; val numPartitions = 2
+      def bidOf(get: Int => Double): Int = if (get(0) < 500) 0 else get(0).toInt
+      def bidColumn(s: TableSchema) = org.apache.spark.sql.functions.lit(0)
+    }
+    val e = intercept[IllegalArgumentException](MetadataBuilder.fromMatrix(m, bad))
+    assert(e.getMessage == "layout bad routed row to BID 500 outside [0,2)")
+    val l = RangeLayout("r", "a", 0, Array(250.0, 750.0))
+    assert(MetadataBuilder.fromMatrix(m, l).partitions == sequentialFold(m, l))
+    val codes = m.cols(1).clone()
+    codes(600) = 70.0; codes(900) = 2.5
+    val e2 = intercept[IllegalArgumentException](MetadataBuilder.fromMatrix(DataMatrix(schema, Array(m.cols(0), codes)), l))
+    assert(e2.getMessage == "value 70.0 in column c is not a code in [0, 64)")
+    assert(MetadataBuilder.fromMatrix(m, l).partitions == sequentialFold(m, l))
   }
 }

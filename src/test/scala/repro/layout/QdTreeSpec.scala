@@ -1,5 +1,7 @@
 package repro.layout
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
 import scala.util.Random
@@ -127,5 +129,79 @@ class QdTreeSpec extends AnyFunSuite {
   test("empty workload yields a single partition") {
     val t = QdTree.build(matrix(100), Nil, 8, "t")
     assert(t.numPartitions == 1)
+  }
+
+  test("a categorical sample value that is not a code in [0, 64) is rejected as fromMatrix rejects it") {
+    for (v <- Seq(2.5, -1.0, 64.0)) {
+      val m = DataMatrix(schema, Array(Array(1.0, 60.0), Array(1.0, 2.0), Array(1.0, v)))
+      val built = intercept[IllegalArgumentException](QdTree.build(m, Seq(rangeQ(0, 10)), 2, "t"))
+      val meta = intercept[IllegalArgumentException](
+        MetadataBuilder.fromMatrix(m, RangeLayout("r", "a", 0, Array(50.0))))
+      assert(built.getMessage == meta.getMessage, v)
+    }
+  }
+
+  /** A column: numeric, categorical with distinct sets (2–25 codes), or
+    * categorical over 100 codes (too many for distinct sets).
+    */
+  private val columnDefs: Gen[IndexedSeq[ColumnDef]] = for {
+    n <- Gen.choose(1, 5)
+    cards <- Gen.listOfN(n, Gen.frequency(2 -> Gen.const(0), 3 -> Gen.choose(2, 25), 1 -> Gen.const(100)))
+  } yield cards.zipWithIndex.map { case (c, j) =>
+    ColumnDef(s"c$j", isCategorical = c > 0, cardinality = c)
+  }.toIndexedSeq
+
+  /** Numeric values: continuous, integers (many ties), signed zeros and NaN. */
+  private val numericValue: Gen[Double] = Gen.frequency(
+    4 -> Gen.choose(0.0, 100.0),
+    4 -> Gen.choose(0, 20).map(_.toDouble),
+    1 -> Gen.oneOf(-0.0, 0.0, Double.NaN))
+
+  private def value(c: ColumnDef): Gen[Double] =
+    if (c.isCategorical) Gen.choose(0, c.cardinality - 1).map(_.toDouble) else numericValue
+
+  private def rangePred(c: ColumnDef): Gen[Predicate] = {
+    val top = if (c.isCategorical) c.cardinality.toDouble else 100.0
+    val bound = Gen.frequency(
+      4 -> Gen.choose(-1, top.toInt + 1).map(_.toDouble),
+      2 -> Gen.choose(-1, top.toInt + 1).map(_ + 0.5),
+      1 -> Gen.oneOf(Double.NegativeInfinity, Double.PositiveInfinity))
+    for (a <- bound; b <- bound) yield RangePred(c.name, a min b, a max b)
+  }
+
+  /** IN lists of up to 12 values (more than 8 cut at the list's min and max),
+    * with values no code equals among them.
+    */
+  private def inPred(c: ColumnDef): Gen[Predicate] = {
+    val v = Gen.frequency(8 -> value(c).suchThat(!_.isNaN), 1 -> Gen.oneOf(-1.0, 2.5, 64.0, 1e9))
+    Gen.choose(1, 12).flatMap(n => Gen.containerOfN[Set, Double](n, v)).suchThat(_.nonEmpty).map(InPred(c.name, _))
+  }
+
+  /** A workload: empty, ranges only, mostly IN lists, or mixed. */
+  private def workload(cols: IndexedSeq[ColumnDef]): Gen[Seq[Query]] = for {
+    inShare <- Gen.oneOf(0, 0, 9, 5)
+    n <- Gen.frequency(1 -> Gen.const(0), 9 -> Gen.choose(1, 60))
+    qs <- Gen.listOfN(n, Gen.choose(1, 3).flatMap(np => Gen.listOfN(np, for {
+      c <- Gen.oneOf(cols)
+      p <- Gen.frequency(10 - inShare -> rangePred(c), inShare -> inPred(c))
+    } yield p)))
+  } yield qs.zipWithIndex.map { case (ps, i) => Query(i, 0, ps) }
+
+  test("the presorted build gives the reference build's layout (property)") {
+    val cases = for {
+      cols <- columnDefs
+      k <- Gen.frequency(1 -> Gen.const(1), 1 -> Gen.const(64), 6 -> Gen.choose(1, 64))
+      rows <- Gen.frequency(1 -> Gen.choose(0, k), 4 -> Gen.choose(k, 400))
+      data <- Gen.sequence[List[Array[Double]], Array[Double]](cols.map(c => Gen.listOfN(rows, value(c)).map(_.toArray)))
+      qs <- workload(cols)
+      minLeafFrac <- Gen.oneOf(0.05, 0.2, 0.5)
+    } yield (DataMatrix(TableSchema(cols), data.toArray), qs, k, minLeafFrac)
+    val prop = Prop.forAllNoShrink(cases) { case (m, qs, k, minLeafFrac) =>
+      val built = QdTree.build(m, qs, k, "t", minLeafFrac = minLeafFrac)
+      assert(built == QdTreeReference.build(m, qs, k, "t", minLeafFrac = minLeafFrac), (m.schema, m.cols.map(_.toSeq).toSeq, qs, k, minLeafFrac))
+      true
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(400).withInitialSeed(Seed(17)), prop)
+    assert(res.passed, res.status)
   }
 }
