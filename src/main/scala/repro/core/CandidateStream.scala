@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.concurrent.Future
 import repro.layout.{Layout, LayoutGen}
 import repro.workload.Workload
 import scala.collection.mutable
@@ -41,6 +42,8 @@ object CandidateStream {
   /** Run the generation schedule over the workload and materialize each
     * candidate's partition metadata against `data` (a driver-local matrix of
     * the dataset — see DESIGN.md §2 on simulation-mode metadata).
+    * `gen` runs on the caller's thread; the result and the exception thrown
+    * are those of a sequential loop of `generate` then [[state]] per epoch.
     */
   def compute(workload: Workload, data: DataMatrix, gen: LayoutGen,
               source: Sampled, cfg: GenConfig = GenConfig()): Vector[Candidate] = {
@@ -54,20 +57,28 @@ object CandidateStream {
         val reservoir = new Rtbs[Query](cfg.rsCapacity, cfg.rsLambda, new Random(cfg.seed + 1))
         (reservoir.add, () => reservoir.sample)
     }
-    val out = Vector.newBuilder[Candidate]
+    // Layouts are generated here, one epoch after another; each epoch's
+    // metadata builds on the pipeline thread while the next layout grows.
+    val pending = mutable.ArrayBuffer.empty[(Int, Future[LayoutState])]
+    def states(): IndexedSeq[LayoutState] = Pool.await(pending.map(_._2).toSeq)
     var epoch = 0
-    for ((q, i) <- workload.queries.zipWithIndex) {
-      add(q)
-      if ((i + 1) % cfg.every == 0) {
-        epoch += 1
-        val qs = current()
-        if (qs.nonEmpty) {
-          val layout = gen.generate(buildSample, qs, cfg.k, s"${gen.name}-${source.tag}-$epoch")
-          out += Candidate(i, state(layout, data))
+    try {
+      for ((q, i) <- workload.queries.zipWithIndex) {
+        add(q)
+        if ((i + 1) % cfg.every == 0) {
+          epoch += 1
+          val qs = current()
+          if (qs.nonEmpty) {
+            val layout = gen.generate(buildSample, qs, cfg.k, s"${gen.name}-${source.tag}-$epoch")
+            pending += i -> Pool.later(state(layout, data))
+          }
         }
       }
+    } catch {
+      // an earlier epoch's metadata failure comes first, as in a sequential loop
+      case e: Throwable => states(); throw e
     }
-    out.result()
+    pending.map(_._1).zip(states()).map { case (i, s) => Candidate(i, s) }.toVector
   }
 
   /** Build a [[LayoutState]] from a concrete layout and the dataset matrix. */

@@ -82,31 +82,35 @@ object MetadataBuilder {
   }
 
   /** Per-BID min, max and (for a column with distinct sets, else null) code
-    * mask of column `j`, over BIDs `0 until k`.
+    * mask of column `j`, over BIDs `0 until k`. For a column with distinct
+    * sets only the masks are folded: min and max are a mask's lowest and
+    * highest code. A code of -0.0 is code 0 and comes out as +0.0, which
+    * compares equal to it. A BID without rows is not read.
     */
   private def aggregate(m: DataMatrix, j: Int, k: Int,
                         bidOfRow: Array[Int]): (Array[Double], Array[Double], Array[Long]) = {
     val col = m.cols(j)
     val n = col.length
-    val mn = Array.fill(k)(Double.PositiveInfinity)
-    val mx = Array.fill(k)(Double.NegativeInfinity)
-    var i = 0
-    while (i < n) {
-      val v = col(i); val b = bidOfRow(i)
-      if (v < mn(b)) mn(b) = v
-      if (v > mx(b)) mx(b) = v
-      i += 1
-    }
     val c = m.schema(j)
-    if (!keepsCodes(c)) (mn, mx, null)
-    else {
+    var i = 0
+    if (keepsCodes(c)) {
       val cs = new Array[Long](k)
-      i = 0
       while (i < n) {
         cs(bidOfRow(i)) |= LayoutMetadata.codeBit(col(i), c.name)
         i += 1
       }
-      (mn, mx, cs)
+      (cs.map(java.lang.Long.numberOfTrailingZeros(_).toDouble),
+        cs.map(mask => (63 - java.lang.Long.numberOfLeadingZeros(mask)).toDouble), cs)
+    } else {
+      val mn = Array.fill(k)(Double.PositiveInfinity)
+      val mx = Array.fill(k)(Double.NegativeInfinity)
+      while (i < n) {
+        val v = col(i); val b = bidOfRow(i)
+        if (v < mn(b)) mn(b) = v
+        if (v > mx(b)) mx(b) = v
+        i += 1
+      }
+      (mn, mx, null)
     }
   }
 

@@ -39,6 +39,14 @@ final case class DataMatrix(schema: TableSchema, cols: Array[Array[Double]]) {
   require(cols.length == schema.size, s"matrix has ${cols.length} columns, schema has ${schema.size}")
   val numRows: Int = if (cols.isEmpty) 0 else cols(0).length
 
+  /** Per column, the row ids in ascending order of the column's values (the
+    * order of `java.util.Arrays.sort`), ties by row id: the presorted
+    * attribute lists a Qd-tree build starts from. Computed once per instance
+    * on first use and shared by every build on it, so callers must not
+    * mutate the arrays.
+    */
+  lazy val order: Array[Array[Int]] = cols.map(DataMatrix.argsort)
+
   /** Accessor for row `i`: returns a colIdx -> value function used by layout routing. */
   def row(i: Int): Int => Double = j => cols(j)(i)
 
@@ -54,6 +62,33 @@ final case class DataMatrix(schema: TableSchema, cols: Array[Array[Double]]) {
 }
 
 object DataMatrix {
+  /** Row ids of `col` in ascending order of their values (the order of
+    * `java.util.Arrays.sort`), ties by row id. Each row is keyed by its
+    * value's rank in the sorted column (high 32 bits) and its id (low 32
+    * bits), so one primitive sort of `Long`s orders them.
+    */
+  private def argsort(col: Array[Double]): Array[Int] = {
+    val sorted = col.clone()
+    java.util.Arrays.sort(sorted)
+    val keys = new Array[Long](col.length)
+    var i = 0
+    while (i < col.length) {
+      // rank: the first index of the value in `sorted`, in the sort's total order
+      var lo = 0; var hi = sorted.length
+      while (lo < hi) {
+        val mid = (lo + hi) >>> 1
+        if (java.lang.Double.compare(sorted(mid), col(i)) < 0) lo = mid + 1 else hi = mid
+      }
+      keys(i) = lo.toLong << 32 | i
+      i += 1
+    }
+    java.util.Arrays.sort(keys)
+    val out = new Array[Int](col.length)
+    i = 0
+    while (i < col.length) { out(i) = keys(i).toInt; i += 1 }
+    out
+  }
+
   /** Collect an encoded DataFrame (all-double columns, in schema order) to the driver. */
   def collect(df: DataFrame, schema: TableSchema): DataMatrix = {
     import org.apache.spark.sql.functions.col

@@ -47,11 +47,11 @@ final case class QdTreeLayout(id: String, root: QdNode, numPartitions: Int) exte
   * exact value range (and distinct set) on that column — the standard
   * conservative benefit estimate that refines stats only on the cut column.
   *
-  * Each column of the sample is argsorted once at the root; a split stably
-  * partitions every column's row order into the two children, so no node
-  * sorts again (presorted attribute lists, as in SLIQ, Mehta et al., EDBT
-  * 1996). Distinct sets are 64-bit code masks, tested as [[LayoutMetadata]]
-  * tests them.
+  * The root takes each column's row order from [[DataMatrix.order]], sorted
+  * once per sample; a split stably partitions every column's row order into
+  * the two children, so no node sorts again (presorted attribute lists, as
+  * in SLIQ, Mehta et al., EDBT 1996). Distinct sets are 64-bit code masks,
+  * tested as [[LayoutMetadata]] tests them.
   */
 object QdTree {
 
@@ -115,7 +115,11 @@ object QdTree {
       }
       // queries that already skip this whole node gain nothing from any cut
       val skipsNode: Array[Boolean] = Array.tabulate(queryPreds.length) { qi =>
-        rows == 0 || queryPreds(qi).indices.exists(i => canSkip(queryCols(qi)(i), queryPreds(qi)(i)))
+        val ps = queryPreds(qi); val js = queryCols(qi)
+        var skips = rows == 0
+        var i = 0
+        while (!skips && i < ps.length) { skips = canSkip(js(i), ps(i)); i += 1 }
+        skips
       }
 
       /** [[ColumnStats.canSkip]] on this node's stats for column `j`. */
@@ -215,7 +219,7 @@ object QdTree {
       if (best == null) None else Some((best, bestGain))
     }
 
-    val root = new MutNode(sample.numRows, sample.cols.map(argsort))
+    val root = new MutNode(sample.numRows, sample.order)
     implicit val ord: Ordering[(Long, MutNode, Cut)] = Ordering.by(_._1)
     val pq = mutable.PriorityQueue.empty[(Long, MutNode, Cut)] // max-heap by gain
     bestCut(root).foreach { case (c, g) => pq.enqueue((g, root, c)) }
@@ -237,33 +241,6 @@ object QdTree {
     }
     val frozen = freeze(root)
     QdTreeLayout(id, frozen, nextBid)
-  }
-
-  /** Row ids of `col` in ascending order of their values (the order of
-    * `java.util.Arrays.sort`), ties by row id. Each row is keyed by its
-    * value's rank in the sorted column (high 32 bits) and its id (low 32
-    * bits), so one primitive sort of `Long`s orders them.
-    */
-  private def argsort(col: Array[Double]): Array[Int] = {
-    val sorted = col.clone()
-    java.util.Arrays.sort(sorted)
-    val keys = new Array[Long](col.length)
-    var i = 0
-    while (i < col.length) {
-      // rank: the first index of the value in `sorted`, in the sort's total order
-      var lo = 0; var hi = sorted.length
-      while (lo < hi) {
-        val mid = (lo + hi) >>> 1
-        if (java.lang.Double.compare(sorted(mid), col(i)) < 0) lo = mid + 1 else hi = mid
-      }
-      keys(i) = lo.toLong << 32 | i
-      i += 1
-    }
-    java.util.Arrays.sort(keys)
-    val out = new Array[Int](col.length)
-    i = 0
-    while (i < col.length) { out(i) = keys(i).toInt; i += 1 }
-    out
   }
 
   /** Mask of the codes `< thr`, i.e. `[0, ceil(thr))` ∩ `[0, 64)`. */

@@ -155,7 +155,7 @@ class MetadataBuilderSpec extends SparkSpec {
   /** The metadata of `layout` over `m` by one sequential fold over the rows. */
   private def sequentialFold(m: DataMatrix, layout: Layout): IndexedSeq[PartitionStats] =
     (0 until m.numRows).groupBy(i => layout.bidOf(m.row(i))).toIndexedSeq.sortBy(_._1).map { case (bid, rows) =>
-      PartitionStats(bid, rows.size, schema.columns.zipWithIndex.map { case (c, j) =>
+      PartitionStats(bid, rows.size, m.schema.columns.zipWithIndex.map { case (c, j) =>
         val vs = rows.map(m.cols(j))
         c.name -> ColumnStats(vs.min, vs.max, if (c.isCategorical) Some(vs.toSet) else None)
       }.toMap)
@@ -172,6 +172,24 @@ class MetadataBuilderSpec extends SparkSpec {
         assert(meta.totalRows == n)
       }
     }
+  }
+
+  test("fromMatrix takes a categorical column's min and max from its code mask, as a sequential fold finds them") {
+    val cats = TableSchema(IndexedSeq(ColumnDef("a"), ColumnDef("c", isCategorical = true, cardinality = 4),
+      ColumnDef("d", isCategorical = true, cardinality = 64)))
+    val rng = new Random(11)
+    for (n <- Seq(1, 2, 50, 1003)) {
+      val m = DataMatrix(cats, Array(
+        Array.fill(n)(rng.nextDouble() * 100),
+        Array.fill(n)(if (rng.nextInt(5) == 0) -0.0 else rng.nextInt(4).toDouble),
+        Array.fill(n)(rng.nextInt(64).toDouble)))
+      val l = RangeLayout("r", "a", 0, Array(10.0, 40.0, 41.0, 90.0))
+      val fold = sequentialFold(m, l)
+      // -0.0 is code 0 and comes out as +0.0, which compares equal to it
+      assert(n < 50 || fold.exists(p => 1 / p.cols("c").min < 0), "some partition's fold min is -0.0")
+      assert(MetadataBuilder.fromMatrix(m, l).partitions == fold, n)
+    }
+    assert(LayoutMetadata.codeBit(-0.0, "c") == 1L)
   }
 
   test("fromMatrix names the first rejected row in row order, and the pool serves the next call") {

@@ -36,6 +36,27 @@ class SchemaSpec extends SparkSpec {
     assert(s1.cols(0).toSeq == s2.cols(0).toSeq)
   }
 
+  test("order is each column's argsort in java.util.Arrays.sort order, ties by row id, computed once") {
+    val rng = new scala.util.Random(7)
+    val specials = Array(Double.NaN, -0.0, 0.0, Double.NegativeInfinity, Double.PositiveInfinity)
+    for (rows <- Seq(0, 1, 2, 17, 500)) {
+      val mixed = Array.fill(rows)(
+        if (rng.nextInt(3) == 0) specials(rng.nextInt(specials.length)) else rng.nextInt(10) - 4.5)
+      val m = DataMatrix(schema, Array(mixed, Array.fill(rows)(1.0)))
+      for (j <- 0 until 2) {
+        val col = m.cols(j); val ord = m.order(j)
+        val sorted = col.clone()
+        java.util.Arrays.sort(sorted)
+        assert(ord.sorted.toSeq == (0 until rows), "a permutation of the rows")
+        assert(ord.map(i => java.lang.Double.doubleToLongBits(col(i))).toSeq ==
+          sorted.map(java.lang.Double.doubleToLongBits).toSeq, "in the sort's order, -0.0 before 0.0, NaN last")
+        for (i <- 1 until rows if java.lang.Double.compare(col(ord(i - 1)), col(ord(i))) == 0)
+          assert(ord(i - 1) < ord(i), "ties by row id")
+      }
+      assert(m.order eq m.order)
+    }
+  }
+
   test("collect pulls an encoded DataFrame into a matrix in schema order") {
     import spark.implicits._
     val df = Seq((1.0, 0.0), (2.0, 1.0), (3.0, 2.0)).toDF("a", "b")

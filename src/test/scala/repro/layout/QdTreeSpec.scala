@@ -197,8 +197,13 @@ class QdTreeSpec extends AnyFunSuite {
       minLeafFrac <- Gen.oneOf(0.05, 0.2, 0.5)
     } yield (DataMatrix(TableSchema(cols), data.toArray), qs, k, minLeafFrac)
     val prop = Prop.forAllNoShrink(cases) { case (m, qs, k, minLeafFrac) =>
-      val built = QdTree.build(m, qs, k, "t", minLeafFrac = minLeafFrac)
-      assert(built == QdTreeReference.build(m, qs, k, "t", minLeafFrac = minLeafFrac), (m.schema, m.cols.map(_.toSeq).toSeq, qs, k, minLeafFrac))
+      val reference = QdTreeReference.build(m, qs, k, "t", minLeafFrac = minLeafFrac)
+      // the first build sorts the sample, the second reads its cached order
+      for (_ <- 1 to 2)
+        assert(QdTree.build(m, qs, k, "t", minLeafFrac = minLeafFrac) == reference,
+          (m.schema, m.cols.map(_.toSeq).toSeq, qs, k, minLeafFrac))
+      // and neither build changed the cached order
+      assert(m.order.map(_.toSeq).toSeq == DataMatrix(m.schema, m.cols).order.map(_.toSeq).toSeq)
       true
     }
     val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(400).withInitialSeed(Seed(17)), prop)
