@@ -47,7 +47,12 @@ final class LayoutManager(val epsilon: Double, sampleCapacity: Int = 50,
   def distance(a: IndexedSeq[Double], b: IndexedSeq[Double]): Double = {
     require(a.length == b.length, "cost vectors must be same length")
     if (a.isEmpty) 0.0
-    else a.zip(b).map { case (x, y) => math.abs(x - y) }.sum / a.length
+    else {
+      var sum = 0.0
+      var i = 0
+      while (i < a.length) { sum += math.abs(a(i) - b(i)); i += 1 }
+      sum / a.length
+    }
   }
 
   /** Minimum distance from `candidate` to any of `existing` (∞ if none). */

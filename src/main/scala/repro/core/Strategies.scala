@@ -84,12 +84,16 @@ final class RegretStrategy(initial: LayoutState, alpha: Double,
   private val alts = mutable.LinkedHashMap.empty[String, LayoutState]
   private val saving = mutable.LinkedHashMap.empty[String, Double]
 
+  /** Switches to the alternative with the largest saving above α; of equal
+    * savings, the first in insertion order.
+    */
   private def maybeSwitch(): Option[LayoutState] = {
-    val best = saving.filter(_._2 > alpha)
-    if (best.isEmpty) None
+    var best: String = null
+    var top = alpha
+    saving.foreachEntry((id, s) => if (s > top) { best = id; top = s })
+    if (best == null) None
     else {
-      val id = best.maxBy(_._2)._1
-      cur = alts(id)
+      cur = alts(best)
       sinceAdoption.clear()
       for (k <- saving.keys) saving(k) = 0.0
       Some(cur)

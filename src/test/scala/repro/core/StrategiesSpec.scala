@@ -103,6 +103,17 @@ class StrategiesSpec extends AnyFunSuite {
     assert(r.current.id == "good")
   }
 
+  test("regret switches to the largest saving above alpha, the earliest on ties") {
+    // on query(3): "wide" saves 1.0 - 0.4 = 0.6, each twin 1.0 - 0.1 = 0.9
+    val r = new RegretStrategy(defaultState, alpha = 1.0)
+    for (c <- Seq(state("wide", Set(0, 1, 2, 4, 5, 6)), state("twinA", Set(3)), state("twinB", Set(3))))
+      assert(r.onCandidate(c).isEmpty)
+    assert(r.observe(query(3, 0)).isEmpty)
+    // 1.2, 1.8 and 1.8 all exceed alpha: the larger saving wins, and of the
+    // tied twins the one inserted first
+    assert(r.observe(query(3, 1)).map(_.id).contains("twinA"))
+  }
+
   test("regret caps the alternative set") {
     val r = new RegretStrategy(defaultState, alpha = 1e9, maxAlternatives = 3)
     (0 until 10).foreach(i => r.observe(query(i % 10, i)))

@@ -3,7 +3,10 @@ package repro.exp
 import java.nio.file.Files
 import repro.SparkSpec
 import repro.core.CandidateStream.{RS, SW, SWRS}
+import repro.core._
 import repro.layout.QdTreeGen
+import repro.workload.Workload
+import scala.util.Random
 
 /** Wiring tests for the table/figure harnesses at miniature scale; the
   * full-scale runs live in the bench/ suites.
@@ -51,6 +54,42 @@ class ExpHarnessSpec extends SparkSpec {
     val r = TableIIExp.run(Seq(tpch), alpha = 40, seeds = Seq(2L))
     assert(r("default", "TPCH") == r("SW", "TPCH"))
     assert(r("default", "TPCH") == r("delta=0", "TPCH"))
+  }
+
+  test("replays give == results on states warmed by other streams and on fresh copies") {
+    // A second stream of the same length reuses every query id with other
+    // queries, so a memoized cost read for the wrong query would show here.
+    val other = Datasets.tpch.mkWorkload(tpch.workload.size, Datasets.tpch.paperSegments, 7)
+    assert(other.queries.map(_.id) == tpch.workload.queries.map(_.id))
+    assert(other.queries != tpch.workload.queries)
+    val static = Lab.staticState(tpch.data, tpch.workload, QdTreeGen, tpch.k)
+    val best = Lab.templateBest(tpch.data, tpch.ds, QdTreeGen, tpch.k)
+    val alpha = 40.0
+
+    def replayAll(w: Workload, fresh: Boolean): Seq[SimResult] = {
+      def f(s: LayoutState) = if (fresh) s.copy() else s
+      val init = f(tpch.default)
+      val cands = tpch.candidates(QdTreeGen, SW).map(c => c.copy(state = f(c.state)))
+      val oracles = best.map { case (t, s) => t -> f(s) }
+      val st = f(static)
+      Seq(
+        Simulator.run(w, st, Nil, new StaticStrategy(st), alpha),
+        Simulator.run(w, init, cands, new GreedyStrategy(init), alpha),
+        Simulator.run(w, init, cands, new RegretStrategy(init, alpha), alpha),
+        Lab.runOreo(w, init, cands, alpha, 1.0, 0.08, 0, seed = 1)._1,
+        Simulator.run(w, init, Nil,
+          new MtsOptimalStrategy(init, oracles.toSeq.sortBy(_._1).map(_._2), alpha, 1.0, new Random(1)), alpha),
+        Simulator.offlineOptimal(w, init, oracles, alpha))
+    }
+
+    val ref = replayAll(tpch.workload, fresh = true)
+    val refOther = replayAll(other, fresh = true)
+    assert(ref.map(_.name).distinct.size == 6)
+    assert(ref != refOther)
+    for (w <- Seq(other, tpch.workload, tpch.workload, other, tpch.workload)) {
+      val expected = if (w eq other) refOther else ref
+      assert(replayAll(w, fresh = false) == expected)
+    }
   }
 
   test("Setup: the SW+RS stream interleaves the SW and RS streams") {
