@@ -2,7 +2,8 @@ package repro
 
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
-import scala.jdk.CollectionConverters._
+import org.apache.spark.sql.types.DoubleType
+import org.duckdb.DuckDBConnection
 
 /** DuckDB correctness oracle.
   *
@@ -10,6 +11,10 @@ import scala.jdk.CollectionConverters._
   * (via JDBC, in-process) over ``tables`` and asserts the sorted rows
   * match ``sparkDf``. This catches wrong results from a rewritten plan
   * or a custom operator — "it ran" is not "it is correct".
+  *
+  * Every table must be all-`DOUBLE` without nulls (the encoded experiment
+  * tables are): it is created with `DOUBLE` columns and filled through
+  * DuckDB's appender, so ``sql`` compares the stored values directly.
   *
   * Alias every output column identically on both sides (Spark names
   * ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``). Project
@@ -33,25 +38,29 @@ object Oracle {
       .sortBy(_.mkString(""))
   }
 
+  /** Create table `name` with `df`'s columns as `DOUBLE` and append its rows. */
+  private def load(conn: DuckDBConnection, name: String, df: DataFrame): Unit = {
+    val cols = df.columns
+    for (f <- df.schema.fields)
+      require(f.dataType == DoubleType, s"table $name: column ${f.name} is ${f.dataType}, not DOUBLE")
+    val st = conn.createStatement
+    try st.execute(s"CREATE TABLE $name (${cols.map(c => s"$c DOUBLE").mkString(", ")})")
+    finally st.close()
+    // Collect once; this is an oracle, not a bench — keep tables small.
+    val app = conn.createAppender(DuckDBConnection.DEFAULT_SCHEMA, name)
+    try df.collect().foreach { r =>
+      require(!r.anyNull, s"table $name: null in row $r")
+      app.beginRow()
+      cols.indices.foreach(i => app.append(r.getDouble(i)))
+      app.endRow()
+    } finally app.close()
+  }
+
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
     Class.forName("org.duckdb.DuckDBDriver")
-    val conn = DriverManager.getConnection("jdbc:duckdb:")
+    val conn = DriverManager.getConnection("jdbc:duckdb:").unwrap(classOf[DuckDBConnection])
     try {
-      for ((name, df) <- tables) {
-        val cols = df.columns
-        conn.createStatement.execute(
-          s"CREATE TABLE $name (${cols.map(c => s"$c VARCHAR").mkString(", ")})"
-        )
-        // Collect once; this is an oracle, not a bench — keep tables small.
-        val ps = conn.prepareStatement(
-          s"INSERT INTO $name VALUES (${cols.map(_ => "?").mkString(",")})"
-        )
-        df.collect().foreach { r =>
-          cols.indices.foreach(i => ps.setString(i + 1, Option(r.get(i)).map(_.toString).orNull))
-          ps.addBatch()
-        }
-        ps.executeBatch(); ps.close()
-      }
+      for ((name, df) <- tables) load(conn, name, df)
       val rs   = conn.createStatement.executeQuery(sql)
       val meta = rs.getMetaData
       val dCols = (1 to meta.getColumnCount).map(meta.getColumnLabel)

@@ -13,7 +13,7 @@ sealed trait Predicate {
   /** Spark filter expression over the encoded DataFrame. */
   def toColumn: Column
 
-  /** SQL text for the DuckDB oracle (columns are stored as VARCHAR there). */
+  /** SQL text for the DuckDB oracle. */
   def toSql: String
 }
 
@@ -22,7 +22,7 @@ final case class RangePred(colName: String, lo: Double, hi: Double) extends Pred
   require(lo <= hi, s"empty range [$lo, $hi] on $colName")
   override def matches(v: Double): Boolean = v >= lo && v <= hi
   override def toColumn: Column = col(colName) >= lit(lo) && col(colName) <= lit(hi)
-  override def toSql: String = s"CAST($colName AS DOUBLE) BETWEEN $lo AND $hi"
+  override def toSql: String = s"$colName BETWEEN $lo AND $hi"
 }
 
 /** Set-membership predicate `col IN (values)` for dictionary-coded columns. */
@@ -34,8 +34,7 @@ final case class InPred(colName: String, values: Set[Double]) extends Predicate 
   private[repro] val codeMask: Long = values.foldLeft(0L)((m, v) => m | LayoutMetadata.codeBitOrZero(v))
   override def matches(v: Double): Boolean = values.contains(v)
   override def toColumn: Column = col(colName).isin(values.toSeq: _*)
-  override def toSql: String =
-    s"CAST($colName AS DOUBLE) IN (${values.toSeq.sorted.mkString(", ")})"
+  override def toSql: String = s"$colName IN (${values.toSeq.sorted.mkString(", ")})"
 }
 
 /** One query of the stream: a conjunction of predicates.

@@ -13,10 +13,8 @@ final case class Candidate(atQuery: Int, state: LayoutState)
   * @param queryCost  Σ c(effective layout, q) — fraction-of-data units
   * @param reorgCost  α × number of switch decisions
   * @param switches   number of switch decisions
-  * @param cumulative total cost sampled every `cumEvery` queries (Fig 4)
   */
-final case class SimResult(name: String, queryCost: Double, reorgCost: Double,
-                           switches: Int, cumulative: Vector[Double]) {
+final case class SimResult(name: String, queryCost: Double, reorgCost: Double, switches: Int) {
   def totalCost: Double = queryCost + reorgCost
 }
 
@@ -32,15 +30,13 @@ final case class SimResult(name: String, queryCost: Double, reorgCost: Double,
 object Simulator {
 
   def run(workload: Workload, initial: LayoutState, candidates: Seq[Candidate],
-          strategy: Strategy, alpha: Double, delay: Int = 0,
-          cumEvery: Int = 100): SimResult = {
+          strategy: Strategy, alpha: Double, delay: Int = 0): SimResult = {
     val candQueue = mutable.Queue(candidates.sortBy(_.atQuery): _*)
     val pending = mutable.Queue.empty[(Int, LayoutState)] // (applyAt, layout)
     var effective = initial
     var queryCost = 0.0
     var reorgCost = 0.0
     var switches = 0
-    val cumulative = Vector.newBuilder[Double]
 
     def decide(i: Int, d: Option[LayoutState]): Unit = d.foreach { next =>
       switches += 1
@@ -59,9 +55,8 @@ object Simulator {
       queryCost += effective.cost(q)
       decide(i, strategy.observe(q))
       offer(i)
-      if ((i + 1) % cumEvery == 0) cumulative += queryCost + reorgCost
     }
-    SimResult(strategy.name, queryCost, reorgCost, switches, cumulative.result())
+    SimResult(strategy.name, queryCost, reorgCost, switches)
   }
 
   /** Offline-Optimal oracle (§VI-C): sees the whole workload, switches to the
@@ -72,12 +67,10 @@ object Simulator {
     * @param bestOf best precomputed layout per template id
     */
   def offlineOptimal(workload: Workload, initial: LayoutState,
-                     bestOf: Map[Int, LayoutState], alpha: Double,
-                     cumEvery: Int = 100): SimResult = {
+                     bestOf: Map[Int, LayoutState], alpha: Double): SimResult = {
     val candidates = workload.segmentStarts.zip(workload.segmentTemplates).flatMap {
       case (start, t) => bestOf.get(t).map(Candidate(start - 1, _))
     }
-    run(workload, initial, candidates, new OfflineOptimalStrategy(initial), alpha,
-      cumEvery = cumEvery)
+    run(workload, initial, candidates, new OfflineOptimalStrategy(initial), alpha)
   }
 }

@@ -58,30 +58,35 @@ object Lab {
     CandidateStream.state(layout, data)
   }
 
+  /** Rows in the data sample of the Static and per-template-best layouts. */
+  private val SampleRows = 1000
+  /** Queries drawn from the whole workload for the Static layout, and its seed. */
+  private val StaticQueries = 2000
+  private val StaticSeed = 5L
+  /** Queries generated per template for its best layout, and their seed. */
+  private val BestQueries = 200
+  private val BestSeed = 6L
+
   /** The Static baseline's layout: generated from a sample of the *entire*
     * workload (the paper estimates with ~2000 queries, §VI-A1).
     */
-  def staticState(data: DataMatrix, workload: Workload, gen: LayoutGen, k: Int,
-                  sampleQueries: Int = 2000, sampleRows: Int = 1000,
-                  seed: Long = 5): LayoutState = {
-    val rng = new Random(seed)
+  def staticState(data: DataMatrix, workload: Workload, gen: LayoutGen, k: Int): LayoutState = {
+    val rng = new Random(StaticSeed)
     val qs =
-      if (workload.queries.size <= sampleQueries) workload.queries
-      else Vector.fill(sampleQueries)(workload.queries(rng.nextInt(workload.queries.size)))
-    val layout = gen.generate(data.sample(sampleRows, seed), qs, k, s"static-${gen.name}")
+      if (workload.queries.size <= StaticQueries) workload.queries
+      else Vector.fill(StaticQueries)(workload.queries(rng.nextInt(workload.queries.size)))
+    val layout = gen.generate(data.sample(SampleRows, StaticSeed), qs, k, s"static-${gen.name}")
     CandidateStream.state(layout, data)
   }
 
   /** Best layout per query template (for the MTS-Optimal / Offline-Optimal
     * oracles, §VI-C): each is generated from queries of that template only.
     */
-  def templateBest(data: DataMatrix, ds: DatasetSpec, gen: LayoutGen, k: Int,
-                   perTemplate: Int = 200, sampleRows: Int = 1000,
-                   seed: Long = 6): Map[Int, LayoutState] = {
-    val rng = new Random(seed)
-    val sample = data.sample(sampleRows, seed)
+  def templateBest(data: DataMatrix, ds: DatasetSpec, gen: LayoutGen, k: Int): Map[Int, LayoutState] = {
+    val rng = new Random(BestSeed)
+    val sample = data.sample(SampleRows, BestSeed)
     ds.templates.indices.map { t =>
-      val qs = Vector.tabulate(perTemplate)(i => Query(i, t, ds.templates(t).instantiate(rng)))
+      val qs = Vector.tabulate(BestQueries)(i => Query(i, t, ds.templates(t).instantiate(rng)))
       val layout = gen.generate(sample, qs, k, s"best-t$t-${gen.name}")
       t -> CandidateStream.state(layout, data)
     }.toMap
@@ -93,14 +98,10 @@ object Lab {
   def avg(results: Seq[SimResult]): SimResult = {
     require(results.nonEmpty)
     val n = results.size.toDouble
-    val cums =
-      if (results.head.cumulative.isEmpty) Vector.empty[Double]
-      else results.map(_.cumulative).transpose.map(_.sum / n).toVector
     SimResult(results.head.name,
       results.map(_.queryCost).sum / n,
       results.map(_.reorgCost).sum / n,
-      math.round(results.map(_.switches).sum / n).toInt,
-      cums)
+      math.round(results.map(_.switches).sum / n).toInt)
   }
 
   /** Run OREO over a workload with full wiring; returns the per-seed result
@@ -108,9 +109,9 @@ object Lab {
     */
   def runOreo(workload: Workload, initial: LayoutState, candidates: Seq[Candidate],
               alpha: Double, gamma: Double, epsilon: Double, delay: Int,
-              seed: Long, maxStates: Int = 12): (SimResult, OreoStrategy) = {
+              seed: Long): (SimResult, OreoStrategy) = {
     val manager = new LayoutManager(epsilon, rng = new Random(seed * 31 + 7))
-    val strat = new OreoStrategy(initial, alpha, gamma, manager, new Random(seed), maxStates)
+    val strat = new OreoStrategy(initial, alpha, gamma, manager, new Random(seed))
     val res = Simulator.run(workload, initial, candidates, strat, alpha, delay)
     (res, strat)
   }

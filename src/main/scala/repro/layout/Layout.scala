@@ -15,9 +15,6 @@ trait Layout {
   /** Stable identifier; doubles as the MTS state id. */
   def id: String
 
-  /** Layout family ("qdtree", "zorder", "range") — for reporting only. */
-  def kind: String
-
   /** Number of partitions this layout can produce (BIDs are 0 until this). */
   def numPartitions: Int
 
@@ -38,7 +35,6 @@ trait Layout {
 final case class RangeLayout(id: String, colName: String, colIdx: Int,
                              innerBounds: Array[Double]) extends Layout {
   require(innerBounds.sameElements(innerBounds.sorted), "bounds must be ascending")
-  override def kind: String = "range"
   override def numPartitions: Int = innerBounds.length + 1
 
   override def bidOf(get: Int => Double): Int = bidOfValue(get(colIdx))

@@ -15,8 +15,6 @@ final case class QdSplit(colIdx: Int, colName: String, threshold: Double,
 
 /** A layout produced by [[QdTree.build]]: routes a row by walking the tree. */
 final case class QdTreeLayout(id: String, root: QdNode, numPartitions: Int) extends Layout {
-  override def kind: String = "qdtree"
-
   override def bidOf(get: Int => Double): Int = {
     var n = root
     while (true) {
@@ -57,6 +55,9 @@ object QdTree {
 
   private final case class Cut(colIdx: Int, colName: String, thr: Double)
 
+  /** Cap on candidate cuts (the most frequent are kept). */
+  private val MaxCuts = 256
+
   /** Build a Qd-tree layout from a data sample and a query workload.
     *
     * @param sample      data sample (paper: 0.1–1% of the data); a categorical
@@ -64,16 +65,15 @@ object QdTree {
     * @param queries     workload to optimize for (e.g., the sliding window)
     * @param k           target number of partitions (leaves)
     * @param id          layout id
-    * @param maxCuts     cap on candidate cuts (most frequent kept)
     * @param minLeafFrac minimum leaf size as a fraction of sampleRows / k
     */
   def build(sample: DataMatrix, queries: Seq[Query], k: Int, id: String,
-            maxCuts: Int = 256, minLeafFrac: Double = 0.5): QdTreeLayout = {
+            minLeafFrac: Double = 0.5): QdTreeLayout = {
     require(k >= 1, "k >= 1")
     val schema = sample.schema
     val nCols = schema.size
     val minLeaf = math.max(1, (minLeafFrac * sample.numRows / k).toInt)
-    val cuts = candidateCuts(schema, queries, maxCuts).toArray
+    val cuts = candidateCuts(schema, queries).toArray
     val queryPreds = queries.map(_.preds.toArray).toArray
     val queryCols = queryPreds.map(_.map(p => schema.indexOf(p.colName)))
 
@@ -250,7 +250,7 @@ object QdTree {
   }
 
   /** Candidate cuts from predicate boundaries, deduped, capped by frequency. */
-  private def candidateCuts(schema: TableSchema, queries: Seq[Query], maxCuts: Int): Seq[Cut] = {
+  private def candidateCuts(schema: TableSchema, queries: Seq[Query]): Seq[Cut] = {
     val freq = mutable.Map.empty[Cut, Int]
     def add(c: Cut): Unit = freq(c) = freq.getOrElse(c, 0) + 1
     for (q <- queries; p <- q.preds) {
@@ -263,6 +263,6 @@ object QdTree {
           else { add(Cut(j, c, vs.min)); add(Cut(j, c, vs.max + 1)) }
       }
     }
-    freq.toSeq.sortBy { case (c, n) => (-n, c.colIdx, c.thr) }.take(maxCuts).map(_._1)
+    freq.toSeq.sortBy { case (c, n) => (-n, c.colIdx, c.thr) }.take(MaxCuts).map(_._1)
   }
 }

@@ -9,9 +9,9 @@ import scala.collection.mutable
   * equal-sized partitions along the Z-order (Morton) curve over the top-3
   * most-queried columns of the recent window.
   *
-  * Each column is quantile-bucketed into `2^bitsPerCol` buckets (bounds from
-  * the data sample); the bucket indices are bit-interleaved into a Z-value,
-  * and partition boundaries are equi-depth quantiles of the sample Z-values.
+  * Each column is quantile-bucketed into 16 buckets (bounds from the data
+  * sample); the bucket indices are bit-interleaved into a Z-value, and
+  * partition boundaries are equi-depth quantiles of the sample Z-values.
   *
   * @param colIdxs      schema indices of the Z-order columns (<= 3)
   * @param colNames     their names
@@ -21,7 +21,6 @@ import scala.collection.mutable
 final case class ZOrderLayout(id: String, colIdxs: IndexedSeq[Int], colNames: IndexedSeq[String],
                               bucketBounds: IndexedSeq[Array[Double]],
                               zBounds: Array[Long]) extends Layout {
-  override def kind: String = "zorder"
   override def numPartitions: Int = zBounds.length + 1
 
   private def bucket(bounds: Array[Double], v: Double): Int = {
@@ -79,6 +78,9 @@ final case class ZOrderLayout(id: String, colIdxs: IndexedSeq[Int], colNames: In
 
 object ZOrder {
 
+  /** Bucket resolution per column: 2^4 = 16 buckets. */
+  private val BitsPerCol = 4
+
   /** Columns most frequently referenced by predicates in `queries` (top `n`). */
   def topQueriedColumns(queries: Seq[Query], n: Int): Seq[String] = {
     val freq = mutable.Map.empty[String, Int]
@@ -91,17 +93,15 @@ object ZOrder {
     * @param sample     data sample for quantile bounds
     * @param queries    recent workload (drives the column choice)
     * @param k          target number of partitions
-    * @param bitsPerCol bucket resolution per column (2^bits buckets)
     */
-  def build(sample: DataMatrix, queries: Seq[Query], k: Int, id: String,
-            bitsPerCol: Int = 4): ZOrderLayout = {
+  def build(sample: DataMatrix, queries: Seq[Query], k: Int, id: String): ZOrderLayout = {
     val schema = sample.schema
     val names = topQueriedColumns(queries, 3) match {
       case Nil => schema.names.take(3)           // no predicates — arbitrary fallback
       case cs  => cs
     }
     val idxs = names.map(schema.indexOf).toIndexedSeq
-    val nBuckets = 1 << bitsPerCol
+    val nBuckets = 1 << BitsPerCol
     val bounds = idxs.map { j =>
       val sorted = sample.cols(j).sorted
       (1 until nBuckets).map { i =>

@@ -87,7 +87,6 @@ class CandidateStreamSpec extends SparkSpec {
       val layoutId = id
       new Layout {
         override def id: String = layoutId
-        override def kind = "scripted"
         override def numPartitions = 2
         override def bidOf(get: Int => Double): Int = {
           if (count.incrementAndGet() == 1 && e == slow) Thread.sleep(300)

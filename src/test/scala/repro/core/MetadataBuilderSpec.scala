@@ -62,7 +62,7 @@ class MetadataBuilderSpec extends SparkSpec {
   test("fromMatrix: routing outside [0,k) is rejected") {
     val m = DataMatrix(schema, Array(Array(1.0), Array(0.0)))
     val bad = new repro.layout.Layout {
-      val id = "bad"; val kind = "bad"; val numPartitions = 2
+      val id = "bad"; val numPartitions = 2
       def bidOf(get: Int => Double): Int = 7
       def bidColumn(s: TableSchema) = org.apache.spark.sql.functions.lit(7)
     }
@@ -197,7 +197,7 @@ class MetadataBuilderSpec extends SparkSpec {
     val m = DataMatrix(schema, Array(Array.tabulate(n)(_.toDouble), Array.fill(n)(1.0)))
     // rows from 500 on go to BID = row, outside [0, 2); several chunks fail
     val bad = new Layout {
-      val id = "bad"; val kind = "bad"; val numPartitions = 2
+      val id = "bad"; val numPartitions = 2
       def bidOf(get: Int => Double): Int = if (get(0) < 500) 0 else get(0).toInt
       def bidColumn(s: TableSchema) = org.apache.spark.sql.functions.lit(0)
     }

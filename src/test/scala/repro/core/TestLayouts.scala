@@ -23,7 +23,6 @@ object TestLayouts {
     * metadata, never routing).
     */
   final case class FakeLayout(id: String, numPartitions: Int) extends Layout {
-    override def kind: String = "fake"
     override def bidOf(get: Int => Double): Int = 0
     override def bidColumn(s: TableSchema): Column = lit(0)
   }

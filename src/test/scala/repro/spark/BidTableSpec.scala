@@ -1,11 +1,13 @@
 package repro.spark
 
 import java.nio.file.Files
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core._
 import repro.data.TpchLite
-import repro.layout.{QdTree, RangeLayout}
+import repro.layout.{Layout, QdTree, RangeLayout, ZOrder}
+import scala.jdk.CollectionConverters._
 import scala.util.Random
 
 /** End-to-end checks of the shallow Spark integration: BID materialization,
@@ -16,22 +18,73 @@ class BidTableSpec extends SparkSpec {
 
   private lazy val workDir = Files.createTempDirectory("bidtable").toString
   private val sf = 0.002
-  private lazy val df = TpchLite.denorm(spark, sf).cache()
+  /** The ≈12k-row TPCH-lite table, held on the driver: a write, a count or an
+    * oracle load of it starts no job over the join's shuffle partitions.
+    */
+  private lazy val df = {
+    val joined = TpchLite.denorm(spark, sf)
+    spark.createDataFrame(joined.collect().toSeq.asJava, joined.schema)
+  }
   private lazy val data = DataMatrix.collect(df, TpchLite.schema)
 
-  private lazy val qdLayout = {
+  private lazy val trainQueries = {
     val rng = new Random(1)
-    val qs = Vector.tabulate(100)(i =>
-      Query(i, i % 13, TpchLite.templates(i % 13).instantiate(rng)))
-    QdTree.build(data.sample(1000, 2), qs, 8, "qd-test")
+    Vector.tabulate(100)(i => Query(i, i % 13, TpchLite.templates(i % 13).instantiate(rng)))
   }
+  private lazy val qdLayout = QdTree.build(data.sample(1000, 2), trainQueries, 8, "qd-test")
+  private lazy val zLayout = ZOrder.build(data.sample(1000, 2), trainQueries, 8, "z-test")
 
-  private lazy val qdPath = {
-    val p = s"$workDir/qd"
-    BidTable.write(df, TpchLite.schema, qdLayout, p)
+  /** `df` written under `layout` to a fresh directory `name`. */
+  private def written(layout: Layout, name: String): String = {
+    val p = s"$workDir/$name"
+    BidTable.write(df, TpchLite.schema, layout, p)
     p
   }
+  private lazy val qdPath = written(qdLayout, "qd")
   private lazy val qdMeta = MetadataBuilder.fromMatrix(data, qdLayout)
+  private lazy val zPath = written(zLayout, "z")
+  private lazy val zMeta = MetadataBuilder.fromMatrix(data, zLayout)
+  private lazy val rangeLayout = RangeLayout.equiDepth("by-date", "o_orderdate",
+    data.cols(TpchLite.schema.indexOf("o_orderdate")), 8, TpchLite.schema)
+  private lazy val rangePath = written(rangeLayout, "range")
+  private lazy val rangeMeta = MetadataBuilder.fromMatrix(data, rangeLayout)
+  /** The Qd-tree table reorganized to the range layout, and the seconds it took. */
+  private lazy val (reorgPath, reorgSecs) = {
+    val p = s"$workDir/qd-to-range"
+    (p, PhysicalReorg.timeReorg(spark, qdPath, TpchLite.schema, rangeLayout, p))
+  }
+
+  /** The rows per BID value of the table at `path` are those of `meta`, i.e.
+    * the layout's `bidColumn` routes every row as its `bidOf` does.
+    */
+  private def assertBidCounts(path: String, meta: LayoutMetadata): Unit = {
+    val counts = BidTable.read(spark, path).groupBy(BidTable.BidCol).count().collect()
+      .map(r => r.getAs[Number](0).intValue() -> r.getLong(1)).toMap
+    assert(counts == meta.partitions.map(p => p.bid -> p.rowCount).toMap)
+  }
+
+  /** `qs`, of distinct templates, rewritten with `meta` over `table`, against
+    * DuckDB on the unrewritten `df`: one union of the per-query aggregates on
+    * each side, each row tagged with its query's template.
+    */
+  private def assertRewritten(table: DataFrame, meta: LayoutMetadata, qs: Seq[Query]): Unit = {
+    val sparkRes = qs.map { q =>
+      BidTable.rewrite(table, q, meta)
+        .agg(count(lit(1)) as "cnt", round(sum(col("l_quantity")), 2) as "qty")
+        .select(lit(q.template) as "template", col("cnt"), col("qty"))
+    }.reduce(_ union _)
+    val sql = qs.map(q =>
+      s"SELECT ${q.template} AS template, count(*) AS cnt, round(sum(l_quantity), 2) AS qty " +
+      s"FROM t WHERE ${q.toSql}").mkString(" UNION ALL ")
+    Oracle.assertEquivalent(sparkRes, sql, "t" -> df)
+  }
+
+  /** [[assertRewritten]] on one query of each of the 13 templates. */
+  private def assertAllTemplates(table: DataFrame, meta: LayoutMetadata, seed: Long): Unit = {
+    val rng = new Random(seed)
+    assertRewritten(table, meta,
+      TpchLite.templates.indices.map(t => Query(t, t, TpchLite.templates(t).instantiate(rng))))
+  }
 
   test("write produces one directory per BID") {
     val dirs = new java.io.File(qdPath).listFiles().filter(_.isDirectory)
@@ -45,25 +98,25 @@ class BidTableSpec extends SparkSpec {
   }
 
   test("BID column values match local routing metadata") {
-    val table = BidTable.read(spark, qdPath)
-    val counts = table.groupBy(BidTable.BidCol).count().collect()
-      .map(r => r.getAs[Number](0).intValue() -> r.getLong(1)).toMap
-    val expected = qdMeta.partitions.map(p => p.bid -> p.rowCount).toMap
-    assert(counts == expected)
+    assertBidCounts(qdPath, qdMeta)
+  }
+
+  test("Z-order BID column values match local routing metadata") {
+    assertBidCounts(zPath, zMeta)
   }
 
   test("rewritten query equals DuckDB on the full, unfiltered table") {
     val rng = new Random(7)
-    val table = BidTable.read(spark, qdPath)
-    for (t <- Seq(0, 4, 5, 9, 12)) {
-      val q = Query(0, t, TpchLite.templates(t).instantiate(rng))
-      val sparkRes = BidTable.rewrite(table, q, qdMeta)
-        .agg(count(lit(1)) as "cnt",
-             round(sum(col("l_quantity")), 2) as "qty")
-      Oracle.assertEquivalent(sparkRes,
-        s"SELECT count(*) AS cnt, round(sum(CAST(l_quantity AS DOUBLE)), 2) AS qty " +
-        s"FROM t WHERE ${q.toSql}", "t" -> df)
-    }
+    assertRewritten(BidTable.read(spark, qdPath), qdMeta,
+      Seq(0, 4, 5, 9, 12).map(t => Query(0, t, TpchLite.templates(t).instantiate(rng))))
+  }
+
+  test("every template's rewritten query equals DuckDB on the Qd-tree layout") {
+    assertAllTemplates(BidTable.read(spark, qdPath), qdMeta, 21)
+  }
+
+  test("every template's rewritten query equals DuckDB on the Z-order layout") {
+    assertAllTemplates(BidTable.read(spark, zPath), zMeta, 22)
   }
 
   test("selective queries actually prune partitions") {
@@ -84,12 +137,8 @@ class BidTableSpec extends SparkSpec {
   }
 
   test("reorganization to a different layout preserves content") {
-    val j = TpchLite.schema.indexOf("o_orderdate")
-    val range = RangeLayout.equiDepth("by-date", "o_orderdate", data.cols(j), 8, TpchLite.schema)
-    val outPath = s"$workDir/range"
-    val secs = PhysicalReorg.timeReorg(spark, qdPath, TpchLite.schema, range, outPath)
-    assert(secs > 0)
-    val reorged = BidTable.read(spark, outPath)
+    assert(reorgSecs > 0)
+    val reorged = BidTable.read(spark, reorgPath)
     assert(reorged.count() == df.count())
     // content equality on a checksum aggregate
     val a = df.agg(round(sum(col("l_extendedprice")), 0)).collect()(0).getDouble(0)
@@ -98,17 +147,21 @@ class BidTableSpec extends SparkSpec {
   }
 
   test("rewritten queries stay correct after reorganization") {
-    val j = TpchLite.schema.indexOf("o_orderdate")
-    val range = RangeLayout.equiDepth("by-date2", "o_orderdate", data.cols(j), 8, TpchLite.schema)
-    val outPath = s"$workDir/range2"
-    BidTable.write(df, TpchLite.schema, range, outPath)
-    val meta = MetadataBuilder.fromMatrix(data, range)
     val rng = new Random(11)
     val q = Query(0, 2, TpchLite.templates(2).instantiate(rng)) // q4: orderdate range
-    val sparkRes = BidTable.rewrite(BidTable.read(spark, outPath), q, meta)
+    val sparkRes = BidTable.rewrite(BidTable.read(spark, rangePath), q, rangeMeta)
       .agg(count(lit(1)) as "cnt")
     Oracle.assertEquivalent(sparkRes,
       s"SELECT count(*) AS cnt FROM t WHERE ${q.toSql}", "t" -> df)
+  }
+
+  test("every template's rewritten query equals DuckDB on the range layout") {
+    assertAllTemplates(BidTable.read(spark, rangePath), rangeMeta, 23)
+  }
+
+  test("every template's rewritten query equals DuckDB after reorganization") {
+    assertBidCounts(reorgPath, rangeMeta)
+    assertAllTemplates(BidTable.read(spark, reorgPath), rangeMeta, 24)
   }
 
   test("full scan timing is positive and repeatable") {
