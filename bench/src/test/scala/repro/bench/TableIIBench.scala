@@ -24,7 +24,7 @@ import repro.exp.{Datasets, TableIIExp}
 class TableIIBench extends SparkSpec {
 
   test("Table II: gamma / SW-vs-RS / delta grid at full stream length") {
-    val r = TableIIExp.run(Datasets.all.map(BenchSetups(_)), alpha = 80)
+    val r = TableIIExp.run(Datasets.all.map(BenchSetups(_)))
 
     println("=== Table II (measured, x10^3 logical cost) ===")
     println(TableIIExp.format(r))

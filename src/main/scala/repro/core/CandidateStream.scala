@@ -31,13 +31,15 @@ object CandidateStream {
   /** @param windowSize sliding window length (paper default: 200)
     * @param every      generate a candidate every `every` queries
     * @param k          target partitions per layout
-    * @param sampleRows data-sample size for layout construction
-    * @param rsCapacity reservoir capacity for the RS source
-    * @param rsLambda   reservoir time-decay rate
     */
-  final case class GenConfig(windowSize: Int = 200, every: Int = 200, k: Int = 32,
-                             sampleRows: Int = 1000, rsCapacity: Int = 200,
-                             rsLambda: Double = 2e-4, seed: Long = 13)
+  final case class GenConfig(windowSize: Int = 200, every: Int = 200, k: Int = 32)
+
+  /** Rows in the data sample every layout is built from, and its seed. */
+  private[core] val SampleRows = 1000
+  private[core] val Seed = 13L
+  /** The RS source's reservoir capacity and time-decay rate. */
+  private[core] val RsCapacity = 200
+  private[core] val RsLambda = 2e-4
 
   /** Run the generation schedule over the workload and materialize each
     * candidate's partition metadata against `data` (a driver-local matrix of
@@ -47,14 +49,14 @@ object CandidateStream {
     */
   def compute(workload: Workload, data: DataMatrix, gen: LayoutGen,
               source: Sampled, cfg: GenConfig = GenConfig()): Vector[Candidate] = {
-    val buildSample = data.sample(cfg.sampleRows, cfg.seed)
+    val buildSample = data.sample(SampleRows, Seed)
     // the one query sample `source` reads: (add a query, the current sample)
     val (add, current): (Query => Unit, () => Seq[Query]) = source match {
       case SW =>
         val window = mutable.Queue.empty[Query]
         (q => { window.enqueue(q); if (window.size > cfg.windowSize) window.dequeue() }, () => window.toSeq)
       case RS =>
-        val reservoir = new Rtbs[Query](cfg.rsCapacity, cfg.rsLambda, new Random(cfg.seed + 1))
+        val reservoir = new Rtbs[Query](RsCapacity, RsLambda, new Random(Seed + 1))
         (reservoir.add, () => reservoir.sample)
     }
     // Layouts are generated here, one epoch after another; each epoch's

@@ -1,6 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
 import scala.util.Random
 
 /** The LAYOUT MANAGER (§V, Algorithm 5): decides whether a freshly generated
@@ -27,21 +26,8 @@ final class LayoutManager(val epsilon: Double, sampleCapacity: Int = 50,
   /** Current query sample (arrival order). */
   def querySample: IndexedSeq[Query] = rtbs.sample
 
-  /** Cost vector of a layout on `sample` (by default, the current query sample). */
-  def costVector(s: LayoutState, sample: IndexedSeq[Query] = querySample): IndexedSeq[Double] =
-    sample.map(s.cost)
-
-  /** The cost vectors of one candidate offer: a snapshot of the query sample
-    * and each layout's vector on it, built at most once per layout id, so the
-    * admission test and eviction share them.
-    */
-  final class Vectors private[LayoutManager] (val sample: IndexedSeq[Query]) {
-    private val built = mutable.HashMap.empty[String, IndexedSeq[Double]]
-    def apply(s: LayoutState): IndexedSeq[Double] = built.getOrElseUpdate(s.id, costVector(s, sample))
-  }
-
-  /** Cost vectors on a snapshot of the current query sample. */
-  def vectors(): Vectors = new Vectors(querySample)
+  /** Cost vector of a layout on the current query sample. */
+  def costVector(s: LayoutState): IndexedSeq[Double] = querySample.map(s.cost)
 
   /** Normalized L1 distance between two cost vectors. */
   def distance(a: IndexedSeq[Double], b: IndexedSeq[Double]): Double = {
@@ -56,29 +42,37 @@ final class LayoutManager(val epsilon: Double, sampleCapacity: Int = 50,
   }
 
   /** Minimum distance from `candidate` to any of `existing` (∞ if none). */
-  def minDistance(candidate: LayoutState, existing: Seq[LayoutState],
-                  vs: Vectors = vectors()): Double = {
-    val cv = vs(candidate)
+  def minDistance(candidate: LayoutState, existing: Seq[LayoutState]): Double =
+    minDistance(candidate, existing, querySample)
+
+  /** [[minDistance]] on one snapshot of the query sample. */
+  private def minDistance(candidate: LayoutState, existing: Seq[LayoutState],
+                          sample: IndexedSeq[Query]): Double = {
+    val cv = sample.map(candidate.cost)
     if (existing.isEmpty) Double.PositiveInfinity
-    else existing.map(s => distance(cv, vs(s))).min
+    else existing.map(s => distance(cv, sample.map(s.cost))).min
   }
 
   /** Algorithm 5 admission test: ≥ ε away from every existing state. */
-  def shouldAdmit(candidate: LayoutState, existing: Seq[LayoutState],
-                  vs: Vectors = vectors()): Boolean =
-    vs.sample.isEmpty || minDistance(candidate, existing, vs) >= epsilon
+  def shouldAdmit(candidate: LayoutState, existing: Seq[LayoutState]): Boolean = {
+    val sample = querySample
+    sample.isEmpty || minDistance(candidate, existing, sample) >= epsilon
+  }
 
   /** Pick a state to evict when the state space exceeds its cap: the state
     * (excluding the current one) whose cost vector is closest to some other
     * remaining state — i.e., the most redundant one (§V-B pruning).
     */
-  def evictionVictim(existing: Seq[LayoutState], currentId: String,
-                     vs: Vectors = vectors()): Option[String] = {
+  def evictionVictim(existing: Seq[LayoutState], currentId: String): Option[String] = {
     val removable = existing.filterNot(_.id == currentId)
+    val sample = querySample
     if (removable.isEmpty) None
-    else if (vs.sample.isEmpty || existing.size < 2) Some(removable.head.id)
-    else Some(removable.minBy { s =>
-      existing.filterNot(_.id == s.id).map(o => distance(vs(s), vs(o))).min
-    }.id)
+    else if (sample.isEmpty || existing.size < 2) Some(removable.head.id)
+    else {
+      val vector = existing.map(s => s.id -> sample.map(s.cost)).toMap
+      Some(removable.minBy { s =>
+        existing.filterNot(_.id == s.id).map(o => distance(vector(s.id), vector(o.id))).min
+      }.id)
+    }
   }
 }

@@ -165,11 +165,10 @@ final class OreoStrategy(initial: LayoutState, alpha: Double, gamma: Double,
     offered += 1
     if (!states.contains(c.id)) {
       val existing = states.values.toSeq
-      val vs = manager.vectors() // shared by the admission test and eviction
-      if (manager.shouldAdmit(c, existing, vs)) {
+      if (manager.shouldAdmit(c, existing)) {
         admitted += 1
         if (states.size >= maxStates) {
-          manager.evictionVictim(existing, umts.current, vs).foreach { victim =>
+          manager.evictionVictim(existing, umts.current).foreach { victim =>
             states -= victim
             umts.removeState(victim)
           }

@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 import repro.core._
-import repro.workload.{QueryTemplate, Workload, WorkloadGen}
+import repro.workload.QueryTemplate
 
 /** Synthetic stand-in for the paper's VMware SuperCollider telemetry table
   * (ingestion-job monitoring logs: ~30M rows, 24k queries over six months).
@@ -83,11 +83,4 @@ object TelemetryData {
           RangePred("duration_ms", 10000 + r.nextInt(20000), 1e9))
     },
   )
-
-  /** Paper workload shape: 24,000 queries; 16 segments (≈ the TPC-H cadence). */
-  def workload(nQueries: Int = 24000, nSegments: Int = 16, seed: Long = 44): Workload =
-    WorkloadGen.generate(templates, nQueries, nSegments, seed)
-
-  /** Default layout: partition by arrival time (the paper's default). */
-  val defaultLayoutColumn = "arrival_h"
 }

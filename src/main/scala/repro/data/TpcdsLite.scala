@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 import repro.core._
-import repro.workload.{QueryTemplate, Workload, WorkloadGen}
+import repro.workload.QueryTemplate
 
 /** TPC-DS-lite: a synthetic stand-in for the paper's denormalized
   * store_sales table (TPC-DS SF10, 26M rows) — see DESIGN.md §3.
@@ -147,11 +147,4 @@ object TpcdsLite {
           InPred("i_category", Set(r.nextInt(10).toDouble)))
     },
   )
-
-  /** Paper workload shape: 30,000 queries in 20 random template segments. */
-  def workload(nQueries: Int = 30000, nSegments: Int = 20, seed: Long = 43): Workload =
-    WorkloadGen.generate(templates, nQueries, nSegments, seed)
-
-  /** Sort/arrival column of the default (pre-optimization) layout. */
-  val defaultLayoutColumn = "ss_sold_date"
 }

@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.SynthData
 import repro.core._
-import repro.workload.{QueryTemplate, Workload, WorkloadGen}
+import repro.workload.QueryTemplate
 import scala.util.Random
 
 /** TPC-H-lite: the paper's TPC-H setup scaled down (DESIGN.md §3).
@@ -135,11 +135,4 @@ object TpchLite {
           InPred("c_nationkey", Set(r.nextInt(25).toDouble)))
     },
   )
-
-  /** Paper workload shape: 30,000 queries in 20 random template segments. */
-  def workload(nQueries: Int = 30000, nSegments: Int = 20, seed: Long = 42): Workload =
-    WorkloadGen.generate(templates, nQueries, nSegments, seed)
-
-  /** Sort/arrival column of the default (pre-optimization) layout. */
-  val defaultLayoutColumn = "o_orderdate"
 }

@@ -2,7 +2,7 @@ package repro.exp
 
 import repro.core.CandidateStream.SW
 import repro.core._
-import repro.layout.{LayoutGen, QdTreeGen, ZOrderGen}
+import repro.layout.{QdTreeGen, ZOrderGen}
 
 /** Figure 3 reproduction: total query + reorganization cost of Static,
   * Greedy, Regret and OREO, for Qd-tree and Z-order layout generation, on
@@ -12,34 +12,27 @@ import repro.layout.{LayoutGen, QdTreeGen, ZOrderGen}
   */
 object Figure3Exp {
 
-  final case class Cell(method: String, gen: String, queryCost: Double,
-                        reorgCost: Double, switches: Int) {
-    def totalCost: Double = queryCost + reorgCost
+  /** One dataset's results: per layout generator, one result per method. */
+  final case class DatasetResult(dataset: String, cells: Seq[(String, SimResult)]) {
+    def apply(method: String, gen: String): SimResult =
+      cells.collectFirst { case (g, r) if g == gen && r.name == method => r }.get
   }
 
-  final case class DatasetResult(dataset: String, cells: Seq[Cell]) {
-    def apply(method: String, gen: String): Cell =
-      cells.find(c => c.method == method && c.gen == gen).get
-  }
-
-  def runDataset(setup: Lab.Setup, alpha: Double = 80, epsilon: Double = 0.08,
-                 gens: Seq[LayoutGen] = Seq(QdTreeGen, ZOrderGen),
-                 seeds: Seq[Long] = Seq(1L, 2L, 3L)): DatasetResult = {
+  def runDataset(setup: Lab.Setup, alpha: Double = Lab.Alpha,
+                 seeds: Seq[Long] = Lab.Seeds): DatasetResult = {
     import setup.{default, workload}
-    val cells = for (gen <- gens) yield {
+    val cells = for (gen <- Seq(QdTreeGen, ZOrderGen)) yield {
       val candidates = setup.candidates(gen, SW)
-      val static = Lab.staticState(setup.data, workload, gen, setup.k)
+      val static = setup.static(gen)
 
       val staticRes = Simulator.run(workload, static, Nil, new StaticStrategy(static), alpha)
       val greedyRes = Simulator.run(workload, default, candidates,
         new GreedyStrategy(default), alpha)
       val regretRes = Simulator.run(workload, default, candidates,
         new RegretStrategy(default, alpha), alpha)
-      val oreoRes = Lab.oreoAvg(workload, default, candidates, alpha, 1.0, epsilon, 0, seeds)
+      val oreoRes = Lab.oreoAvg(workload, default, candidates, alpha, Lab.Gamma, Lab.Epsilon, 0, seeds)
 
-      Seq(staticRes, greedyRes, regretRes, oreoRes).map { r =>
-        Cell(r.name, gen.name, r.queryCost, r.reorgCost, r.switches)
-      }
+      Seq(staticRes, greedyRes, regretRes, oreoRes).map(gen.name -> _)
     }
     DatasetResult(setup.ds.name, cells.flatten)
   }
@@ -47,8 +40,8 @@ object Figure3Exp {
   def format(results: Seq[DatasetResult]): String = {
     val sb = new StringBuilder
     sb.append(f"${"dataset"}%-10s ${"gen"}%-8s ${"method"}%-8s ${"query"}%-10s ${"reorg"}%-10s ${"total"}%-10s ${"switches"}%-8s\n")
-    for (dr <- results; c <- dr.cells)
-      sb.append(f"${dr.dataset}%-10s ${c.gen}%-8s ${c.method}%-8s ${c.queryCost}%-10.1f ${c.reorgCost}%-10.1f ${c.totalCost}%-10.1f ${c.switches}%-8d\n")
+    for (dr <- results; (gen, r) <- dr.cells)
+      sb.append(f"${dr.dataset}%-10s ${gen}%-8s ${r.name}%-8s ${r.queryCost}%-10.1f ${r.reorgCost}%-10.1f ${r.totalCost}%-10.1f ${r.switches}%-8d\n")
     sb.toString
   }
 }

@@ -19,16 +19,15 @@ object GapExp {
     def oreoVsOfflineQueryGap: Double = oreo.queryCost / offline.queryCost - 1
   }
 
-  def run(setup: Lab.Setup, alpha: Double = 80, epsilon: Double = 0.08,
-          seeds: Seq[Long] = Seq(1L, 2L, 3L)): Result = {
+  def run(setup: Lab.Setup, alpha: Double = Lab.Alpha, seeds: Seq[Long] = Lab.Seeds): Result = {
     import setup.{default, workload}
     val candidates = setup.candidates(QdTreeGen, SW)
-    val best = Lab.templateBest(setup.data, setup.ds, QdTreeGen, setup.k)
+    val best = setup.best(QdTreeGen)
 
-    val oreo = Lab.oreoAvg(workload, default, candidates, alpha, 1.0, epsilon, 0, seeds)
+    val oreo = Lab.oreoAvg(workload, default, candidates, alpha, Lab.Gamma, Lab.Epsilon, 0, seeds)
     val mtsOpt = Lab.avg(seeds.map { s =>
       Simulator.run(workload, default, Nil,
-        new MtsOptimalStrategy(default, best.values.toSeq, alpha, 1.0, new Random(s)), alpha)
+        new MtsOptimalStrategy(default, best.values.toSeq, alpha, Lab.Gamma, new Random(s)), alpha)
     })
     val offline = Simulator.offlineOptimal(workload, default, best, alpha)
     Result(setup.ds.name, oreo, mtsOpt, offline)

@@ -8,41 +8,61 @@ import repro.workload.Workload
 import scala.collection.mutable
 import scala.util.Random
 
-/** Shared helpers for the experiment harnesses: the per-dataset [[Lab.Setup]],
-  * building the default / static / per-template-best layout states and
-  * seed-averaging MTS runs.
+/** Shared helpers for the experiment harnesses: the paper's defaults, the
+  * per-dataset [[Lab.Setup]], building the default / static /
+  * per-template-best layout states and seed-averaging MTS runs.
   */
 object Lab {
 
+  /** The paper's defaults (§VI-A3, Table II's bold row): reorganization cost
+    * α, transition weight γ, admission threshold ε, the seeds of the 3-run
+    * averages and partitions per layout k.
+    */
+  val Alpha = 80.0
+  val Gamma = 1.0
+  val Epsilon = 0.08
+  val Seeds: Seq[Long] = Seq(1L, 2L, 3L)
+  val K = 32
+
   /** One dataset's experiment set-up, shared by every harness (§VI evaluates
     * one fixed set-up per dataset): the query stream, the driver-local
-    * matrix, the default layout and the candidate streams, each built once.
+    * matrix, the default layout, and per layout generator the Static state,
+    * the per-template best states and the candidate streams, each built once.
     * Build it with [[Lab.setup]].
     */
-  final class Setup private[Lab] (val ds: DatasetSpec, val k: Int, val workload: Workload,
+  final class Setup private[Lab] (val ds: DatasetSpec, val workload: Workload,
                                   val data: DataMatrix, val default: LayoutState) {
     private val streams = mutable.Map.empty[(LayoutGen, Sampled), Vector[Candidate]]
+    private val statics = mutable.Map.empty[LayoutGen, LayoutState]
+    private val bests = mutable.Map.empty[LayoutGen, Map[Int, LayoutState]]
 
     /** The candidate stream of `gen` over the workload, computed on first use.
       * `SWRS` is the SW and RS streams merged stably by `atQuery`.
       */
     def candidates(gen: LayoutGen, source: Source): Vector[Candidate] = source match {
       case s: Sampled => streams.getOrElseUpdate((gen, s),
-        CandidateStream.compute(workload, data, gen, s, GenConfig(k = k)))
+        CandidateStream.compute(workload, data, gen, s, GenConfig(k = K)))
       case SWRS => (candidates(gen, SW) ++ candidates(gen, RS)).sortBy(_.atQuery)
     }
+
+    /** The Static baseline's state for `gen` ([[Lab.staticState]]), built on first use. */
+    def static(gen: LayoutGen): LayoutState =
+      statics.getOrElseUpdate(gen, staticState(data, workload, gen, K))
+
+    /** Each template's best state for `gen` ([[Lab.templateBest]]), built on first use. */
+    def best(gen: LayoutGen): Map[Int, LayoutState] =
+      bests.getOrElseUpdate(gen, templateBest(data, ds, gen, K))
   }
 
   /** Build the set-up of `ds` at scale factor `sf`: a stream of the paper's
     * length for the dataset times `scale` (at least 400 queries) and
-    * layouts of `k` partitions.
+    * layouts of [[K]] partitions.
     */
-  def setup(spark: SparkSession, ds: DatasetSpec, sf: Double, scale: Double = 1.0,
-            k: Int = 32): Setup = {
+  def setup(spark: SparkSession, ds: DatasetSpec, sf: Double, scale: Double = 1.0): Setup = {
     val nQ = math.max(400, (ds.paperQueries * scale).toInt)
     val workload = ds.mkWorkload(nQ, ds.paperSegments, 42 + ds.name.hashCode % 97)
     val data = matrix(spark, ds, sf)
-    new Setup(ds, k, workload, data, defaultState(data, ds, k))
+    new Setup(ds, workload, data, defaultState(data, ds, K))
   }
 
   /** Collect the encoded dataset to a driver-local matrix for simulation. */
@@ -119,6 +139,6 @@ object Lab {
   /** 3-seed-averaged OREO run. */
   def oreoAvg(workload: Workload, initial: LayoutState, candidates: Seq[Candidate],
               alpha: Double, gamma: Double, epsilon: Double, delay: Int,
-              seeds: Seq[Long] = Seq(1L, 2L, 3L)): SimResult =
+              seeds: Seq[Long] = Seeds): SimResult =
     avg(seeds.map(s => runOreo(workload, initial, candidates, alpha, gamma, epsilon, delay, s)._1))
 }

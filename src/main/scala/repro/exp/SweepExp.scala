@@ -16,24 +16,24 @@ object SweepExp {
                             switches: Int, maxStates: Int)
 
   def alphaSweep(setup: Lab.Setup, alphas: Seq[Double] = Seq(10, 20, 40, 80, 170, 300),
-                 epsilon: Double = 0.08, seeds: Seq[Long] = Seq(1L, 2L, 3L)): Seq[AlphaPoint] = {
+                 seeds: Seq[Long] = Lab.Seeds): Seq[AlphaPoint] = {
     import setup.{default, workload}
     val candidates = setup.candidates(QdTreeGen, SW)
-    val static = Lab.staticState(setup.data, workload, QdTreeGen, setup.k)
+    val static = setup.static(QdTreeGen)
     val staticQuery = workload.queries.iterator.map(static.cost).sum
     alphas.map { a =>
-      val r = Lab.oreoAvg(workload, default, candidates, a, 1.0, epsilon, 0, seeds)
+      val r = Lab.oreoAvg(workload, default, candidates, a, Lab.Gamma, Lab.Epsilon, 0, seeds)
       AlphaPoint(a, r.queryCost, r.reorgCost, r.switches, staticQuery)
     }
   }
 
   def epsilonSweep(setup: Lab.Setup,
                    epsilons: Seq[Double] = Seq(0.01, 0.02, 0.04, 0.08, 0.16, 0.32),
-                   alpha: Double = 80, seeds: Seq[Long] = Seq(1L, 2L, 3L)): Seq[EpsPoint] = {
+                   alpha: Double = Lab.Alpha, seeds: Seq[Long] = Lab.Seeds): Seq[EpsPoint] = {
     import setup.{default, workload}
     val candidates = setup.candidates(QdTreeGen, SW)
     epsilons.map { e =>
-      val runs = seeds.map(s => Lab.runOreo(workload, default, candidates, alpha, 1.0, e, 0, s))
+      val runs = seeds.map(s => Lab.runOreo(workload, default, candidates, alpha, Lab.Gamma, e, 0, s))
       val r = Lab.avg(runs.map(_._1))
       val maxStates = runs.map(_._2.maxStateSpaceSize).max
       EpsPoint(e, r.queryCost, r.reorgCost, r.switches, maxStates)

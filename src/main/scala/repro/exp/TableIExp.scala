@@ -22,6 +22,9 @@ object TableIExp {
     def alpha: Double = reorgSec / querySec
   }
 
+  /** Seed of the target layout's queries and data sample. */
+  private val TargetSeed = 21L
+
   /** Measure one size point: write a TPCH-lite table of `rows` rows under the
     * default layout, time repeated full scans and reorganizations into a
     * workload-optimized Qd-tree layout.
@@ -29,8 +32,8 @@ object TableIExp {
     * @param reps timing repetitions (first scan warms the file cache; we
     *             report the mean of the remaining reps)
     */
-  def measure(spark: SparkSession, rows: Long, workDir: String, k: Int = 32,
-              reps: Int = 3, seed: Long = 21): Row = {
+  def measure(spark: SparkSession, rows: Long, workDir: String, k: Int = Lab.K,
+              reps: Int = 3): Row = {
     val ds = Datasets.tpch
     val sf = rows / 6.0e6 // SynthData lineitem rows per unit SF
     val df = ds.mkDf(spark, sf)
@@ -44,9 +47,9 @@ object TableIExp {
     val mb = PhysicalReorg.dirSizeMb(basePath)
 
     // target layout: qd-tree for a synthetic workload over this schema
-    val rng = new Random(seed)
+    val rng = new Random(TargetSeed)
     val qs = Vector.tabulate(200)(i => Query(i, 0, ds.templates(i % ds.templates.size).instantiate(rng)))
-    val qd = QdTreeGen.generate(data.sample(1000, seed), qs, k, "tableI-qd")
+    val qd = QdTreeGen.generate(data.sample(1000, TargetSeed), qs, k, "tableI-qd")
 
     // one warmup round each (codegen + file-cache), then `reps` timed rounds
     val scans = (0 to reps).map(_ => PhysicalReorg.timeFullScan(spark, basePath, ds.schema))

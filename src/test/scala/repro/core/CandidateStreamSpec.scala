@@ -17,9 +17,10 @@ class CandidateStreamSpec extends SparkSpec {
     */
   private def sequential(workload: Workload, data: DataMatrix, gen: LayoutGen, source: Sampled,
                          cfg: GenConfig): Vector[Candidate] = {
-    val sample = data.sample(cfg.sampleRows, cfg.seed)
+    import CandidateStream.{RsCapacity, RsLambda, SampleRows, Seed}
+    val sample = data.sample(SampleRows, Seed)
     val window = mutable.Queue.empty[Query]
-    val reservoir = new Rtbs[Query](cfg.rsCapacity, cfg.rsLambda, new Random(cfg.seed + 1))
+    val reservoir = new Rtbs[Query](RsCapacity, RsLambda, new Random(Seed + 1))
     val out = Vector.newBuilder[Candidate]
     for ((q, i) <- workload.queries.zipWithIndex) {
       if (source == SW) { window.enqueue(q); if (window.size > cfg.windowSize) window.dequeue() }

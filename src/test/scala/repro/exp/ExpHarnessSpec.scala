@@ -4,7 +4,7 @@ import java.nio.file.Files
 import repro.SparkSpec
 import repro.core.CandidateStream.{RS, SW, SWRS}
 import repro.core._
-import repro.layout.QdTreeGen
+import repro.layout.{QdTreeGen, ZOrderGen}
 import repro.workload.Workload
 import scala.util.Random
 
@@ -46,7 +46,7 @@ class ExpHarnessSpec extends SparkSpec {
       "delta=80" -> (0.8532304444444411, 0.44, 11))
     for (row <- TableIIExp.rows) {
       val c = grid(row.label, "TPCH")
-      assert((c.queryCost, c.reorgCost, c.switches) == pinned(row.label), row.label)
+      assert((c.queryCost / 1e3, c.reorgCost / 1e3, c.switches) == pinned(row.label), row.label)
     }
   }
 
@@ -62,8 +62,8 @@ class ExpHarnessSpec extends SparkSpec {
     val other = Datasets.tpch.mkWorkload(tpch.workload.size, Datasets.tpch.paperSegments, 7)
     assert(other.queries.map(_.id) == tpch.workload.queries.map(_.id))
     assert(other.queries != tpch.workload.queries)
-    val static = Lab.staticState(tpch.data, tpch.workload, QdTreeGen, tpch.k)
-    val best = Lab.templateBest(tpch.data, tpch.ds, QdTreeGen, tpch.k)
+    val static = tpch.static(QdTreeGen)
+    val best = tpch.best(QdTreeGen)
     val alpha = 40.0
 
     def replayAll(w: Workload, fresh: Boolean): Seq[SimResult] = {
@@ -76,9 +76,9 @@ class ExpHarnessSpec extends SparkSpec {
         Simulator.run(w, st, Nil, new StaticStrategy(st), alpha),
         Simulator.run(w, init, cands, new GreedyStrategy(init), alpha),
         Simulator.run(w, init, cands, new RegretStrategy(init, alpha), alpha),
-        Lab.runOreo(w, init, cands, alpha, 1.0, 0.08, 0, seed = 1)._1,
+        Lab.runOreo(w, init, cands, alpha, Lab.Gamma, Lab.Epsilon, 0, seed = 1)._1,
         Simulator.run(w, init, Nil,
-          new MtsOptimalStrategy(init, oracles.toSeq.sortBy(_._1).map(_._2), alpha, 1.0, new Random(1)), alpha),
+          new MtsOptimalStrategy(init, oracles.toSeq.sortBy(_._1).map(_._2), alpha, Lab.Gamma, new Random(1)), alpha),
         Simulator.offlineOptimal(w, init, oracles, alpha))
     }
 
@@ -89,6 +89,24 @@ class ExpHarnessSpec extends SparkSpec {
     for (w <- Seq(other, tpch.workload, tpch.workload, other, tpch.workload)) {
       val expected = if (w eq other) refOther else ref
       assert(replayAll(w, fresh = false) == expected)
+    }
+  }
+
+  test("Setup builds the Static and per-template best states once per generator") {
+    // a state's id and partition metadata, which its costs are computed from;
+    // Z-order layouts hold arrays, so only Qd-tree layouts compare with ==
+    def view(s: LayoutState) = (s.id, s.metadata.partitions)
+    for (gen <- Seq(QdTreeGen, ZOrderGen)) {
+      val static = Lab.staticState(tpch.data, tpch.workload, gen, Lab.K)
+      val best = Lab.templateBest(tpch.data, tpch.ds, gen, Lab.K)
+      assert(tpch.static(gen) eq tpch.static(gen), gen.name)
+      assert(tpch.best(gen) eq tpch.best(gen), gen.name)
+      assert(view(tpch.static(gen)) == view(static), gen.name)
+      assert(tpch.best(gen).view.mapValues(view).toMap == best.view.mapValues(view).toMap, gen.name)
+      if (gen == QdTreeGen) {
+        assert(tpch.static(gen).layout == static.layout)
+        assert(tpch.best(gen).view.mapValues(_.layout).toMap == best.view.mapValues(_.layout).toMap)
+      }
     }
   }
 
@@ -107,9 +125,8 @@ class ExpHarnessSpec extends SparkSpec {
 
   test("Figure3Exp covers all four methods and both generators") {
     val dr = Figure3Exp.runDataset(tpch, alpha = 40, seeds = Seq(1L))
-    val methods = dr.cells.map(_.method).toSet
-    assert(methods == Set("Static", "Greedy", "Regret", "OREO"))
-    assert(dr.cells.map(_.gen).toSet == Set("qdtree", "zorder"))
+    assert(dr.cells.map(_._2.name).toSet == Set("Static", "Greedy", "Regret", "OREO"))
+    assert(dr.cells.map(_._1).toSet == Set("qdtree", "zorder"))
     assert(Figure3Exp.format(Seq(dr)).contains("OREO"))
   }
 
