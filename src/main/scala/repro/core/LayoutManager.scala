@@ -26,9 +26,6 @@ final class LayoutManager(val epsilon: Double, sampleCapacity: Int = 50,
   /** Current query sample (arrival order). */
   def querySample: IndexedSeq[Query] = rtbs.sample
 
-  /** Cost vector of a layout on the current query sample. */
-  def costVector(s: LayoutState): IndexedSeq[Double] = querySample.map(s.cost)
-
   /** Normalized L1 distance between two cost vectors. */
   def distance(a: IndexedSeq[Double], b: IndexedSeq[Double]): Double = {
     require(a.length == b.length, "cost vectors must be same length")
@@ -41,11 +38,9 @@ final class LayoutManager(val epsilon: Double, sampleCapacity: Int = 50,
     }
   }
 
-  /** Minimum distance from `candidate` to any of `existing` (∞ if none). */
-  def minDistance(candidate: LayoutState, existing: Seq[LayoutState]): Double =
-    minDistance(candidate, existing, querySample)
-
-  /** [[minDistance]] on one snapshot of the query sample. */
+  /** Minimum distance from `candidate` to any of `existing` (∞ if none), on
+    * one snapshot of the query sample.
+    */
   private def minDistance(candidate: LayoutState, existing: Seq[LayoutState],
                           sample: IndexedSeq[Query]): Double = {
     val cv = sample.map(candidate.cost)

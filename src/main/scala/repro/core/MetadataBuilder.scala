@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, functions => F}
 import repro.layout.Layout
+import repro.spark.BidTable
 
 /** Builds [[LayoutMetadata]] (per-partition row counts, min/max, categorical
   * distinct codes) for a layout over a dataset.
@@ -34,7 +35,7 @@ object MetadataBuilder {
 
   def fromDataFrame(df: DataFrame, schema: TableSchema, layout: Layout): LayoutMetadata = {
     val k = checkPartitions(layout)
-    val withBid = df.withColumn("__bid", layout.bidColumn(schema))
+    val withBid = df.withColumn("__bid", BidTable.bidColumn(layout, schema))
     val aggs = schema.columns.flatMap { c =>
       val base = Seq(F.min(c.name).as(s"min_${c.name}"), F.max(c.name).as(s"max_${c.name}"))
       if (keepsCodes(c)) base :+ F.collect_set(c.name).as(s"set_${c.name}") else base

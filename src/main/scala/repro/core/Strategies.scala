@@ -81,21 +81,25 @@ final class RegretStrategy(initial: LayoutState, alpha: Double,
   override val name = "Regret"
   private var cur = initial
   private val sinceAdoption = mutable.ArrayBuffer.empty[Query]
-  private val alts = mutable.LinkedHashMap.empty[String, LayoutState]
-  private val saving = mutable.LinkedHashMap.empty[String, Double]
+
+  /** An alternative and its cumulative saving versus `cur` since adoption. */
+  private final class Alt(val state: LayoutState, var saving: Double)
+
+  /** The alternatives by id, in insertion order. */
+  private val alts = mutable.LinkedHashMap.empty[String, Alt]
 
   /** Switches to the alternative with the largest saving above α; of equal
     * savings, the first in insertion order.
     */
   private def maybeSwitch(): Option[LayoutState] = {
-    var best: String = null
+    var best: Alt = null
     var top = alpha
-    saving.foreachEntry((id, s) => if (s > top) { best = id; top = s })
+    alts.valuesIterator.foreach(a => if (a.saving > top) { best = a; top = a.saving })
     if (best == null) None
     else {
-      cur = alts(best)
+      cur = best.state
       sinceAdoption.clear()
-      for (k <- saving.keys) saving(k) = 0.0
+      alts.valuesIterator.foreach(_.saving = 0.0)
       Some(cur)
     }
   }
@@ -103,18 +107,14 @@ final class RegretStrategy(initial: LayoutState, alpha: Double,
   override def observe(q: Query): Option[LayoutState] = {
     sinceAdoption += q
     val c = cur.cost(q)
-    for ((id, s) <- alts) saving(id) += c - s.cost(q)
+    alts.valuesIterator.foreach(a => a.saving += c - a.state.cost(q))
     maybeSwitch()
   }
 
   override def onCandidate(cand: LayoutState): Option[LayoutState] = {
     if (!alts.contains(cand.id)) {
-      if (alts.size >= maxAlternatives) {
-        val oldest = alts.head._1
-        alts -= oldest; saving -= oldest
-      }
-      alts(cand.id) = cand
-      saving(cand.id) = sinceAdoption.iterator.map(q => cur.cost(q) - cand.cost(q)).sum
+      if (alts.size >= maxAlternatives) alts -= alts.head._1
+      alts(cand.id) = new Alt(cand, sinceAdoption.iterator.map(q => cur.cost(q) - cand.cost(q)).sum)
     }
     maybeSwitch()
   }

@@ -74,7 +74,7 @@ object Lab {
     */
   def defaultState(data: DataMatrix, ds: DatasetSpec, k: Int): LayoutState = {
     val j = ds.schema.indexOf(ds.defaultCol)
-    val layout = RangeLayout.equiDepth("default", ds.defaultCol, data.cols(j), k, ds.schema)
+    val layout = RangeLayout.equiDepth("default", j, data.cols(j), k)
     CandidateStream.state(layout, data)
   }
 

@@ -1,15 +1,15 @@
 package repro.layout
 
-import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions.{col, lit, when}
-import repro.core.TableSchema
+import scala.collection.immutable.ArraySeq
+import scala.reflect.ClassTag
 
 /** A data layout: a total mapping of rows to partition ids (BIDs).
   *
-  * Layouts are pure routing functions; they carry no data. Each layout can
-  * route a row locally (`bidOf`, used by the sample-based generators and the
-  * simulation metadata builder) and as a Catalyst expression (`bidColumn`,
-  * used to materialize the BID column for Parquet writes).
+  * Layouts are pure routing functions; they carry no data. `bidOf` is the
+  * only routing: the sample-based generators, the simulation metadata
+  * builder and Spark's BID column (`BidTable.bidColumn`) all call it.
+  * Each layout of this package is a case class whose fields compare by
+  * content, so two layouts built from the same inputs are `==`.
   */
 trait Layout {
   /** Stable identifier; doubles as the MTS state id. */
@@ -20,9 +20,6 @@ trait Layout {
 
   /** Route one row; `get` maps a schema column index to its encoded value. */
   def bidOf(get: Int => Double): Int
-
-  /** Route as a Catalyst expression over the encoded DataFrame. */
-  def bidColumn(schema: TableSchema): Column
 }
 
 /** Equi-depth range partitioning on a single column — the paper's default
@@ -30,44 +27,39 @@ trait Layout {
   *
   * @param colIdx      schema index of the partitioning column
   * @param innerBounds ascending inner boundaries; BID = number of bounds
-  *                    strictly below the value, so k = innerBounds.length + 1
+  *                    at or below the value, so k = innerBounds.length + 1
   */
-final case class RangeLayout(id: String, colName: String, colIdx: Int,
-                             innerBounds: Array[Double]) extends Layout {
-  require(innerBounds.sameElements(innerBounds.sorted), "bounds must be ascending")
-  override def numPartitions: Int = innerBounds.length + 1
+final case class RangeLayout(id: String, colIdx: Int, innerBounds: ArraySeq[Double]) extends Layout {
+  private val bounds = innerBounds.toArray
+  require(bounds.sameElements(bounds.sorted), "bounds must be ascending")
+  override def numPartitions: Int = bounds.length + 1
 
   override def bidOf(get: Int => Double): Int = bidOfValue(get(colIdx))
 
-  /** First index whose bound exceeds v (binary search over ascending bounds). */
-  def bidOfValue(v: Double): Int = {
-    var lo = 0; var hi = innerBounds.length
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      if (v < innerBounds(mid)) hi = mid else lo = mid + 1
-    }
-    lo
-  }
-
-  override def bidColumn(schema: TableSchema): Column = {
-    val c = col(colName)
-    // when-chain keeps this a pure Catalyst expression (k is small, <= 64)
-    innerBounds.zipWithIndex.foldRight(lit(innerBounds.length): Column) {
-      case ((b, i), rest) => when(c < lit(b), lit(i)).otherwise(rest)
-    }
-  }
+  def bidOfValue(v: Double): Int = RangeLayout.bin(bounds, v)
 }
 
 object RangeLayout {
-  /** Build an equi-depth range layout on `colName` from a sample of values. */
-  def equiDepth(id: String, colName: String, values: Array[Double], k: Int,
-                schema: TableSchema): RangeLayout = {
+  /** Build an equi-depth range layout on column `colIdx` from a sample of its values. */
+  def equiDepth(id: String, colIdx: Int, values: Array[Double], k: Int): RangeLayout = {
     require(k >= 1, "need at least one partition")
     require(values.nonEmpty, "need sample values to derive bounds")
-    val sorted = values.sorted
-    val bounds = (1 until k).map { i =>
-      sorted(math.min(sorted.length - 1, (i.toLong * sorted.length / k).toInt))
-    }.distinct.toArray
-    RangeLayout(id, colName, schema.indexOf(colName), bounds)
+    RangeLayout(id, colIdx, ArraySeq.unsafeWrapArray(quantiles(values.sorted, k)))
+  }
+
+  /** The distinct inner `k`-quantiles of ascending `sorted`. */
+  private[layout] def quantiles[T: ClassTag](sorted: Array[T], k: Int): Array[T] =
+    Array.tabulate(k - 1) { i =>
+      sorted(math.min(sorted.length - 1, ((i + 1).toLong * sorted.length / k).toInt))
+    }.distinct
+
+  /** The number of ascending `bounds` at or below `v` (binary search). */
+  private[layout] def bin(bounds: Array[Double], v: Double): Int = {
+    var lo = 0; var hi = bounds.length
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (v < bounds(mid)) hi = mid else lo = mid + 1
+    }
+    lo
   }
 }

@@ -1,7 +1,5 @@
 package repro.layout
 
-import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions.{col, lit, when}
 import repro.core._
 import scala.collection.mutable
 
@@ -10,8 +8,7 @@ import scala.collection.mutable
   */
 sealed trait QdNode
 final case class QdLeaf(bid: Int) extends QdNode
-final case class QdSplit(colIdx: Int, colName: String, threshold: Double,
-                         left: QdNode, right: QdNode) extends QdNode
+final case class QdSplit(colIdx: Int, threshold: Double, left: QdNode, right: QdNode) extends QdNode
 
 /** A layout produced by [[QdTree.build]]: routes a row by walking the tree. */
 final case class QdTreeLayout(id: String, root: QdNode, numPartitions: Int) extends Layout {
@@ -19,19 +16,11 @@ final case class QdTreeLayout(id: String, root: QdNode, numPartitions: Int) exte
     var n = root
     while (true) {
       n match {
-        case QdLeaf(bid)                   => return bid
-        case QdSplit(j, _, t, left, right) => n = if (get(j) < t) left else right
+        case QdLeaf(bid)                => return bid
+        case QdSplit(j, t, left, right) => n = if (get(j) < t) left else right
       }
     }
     -1 // unreachable
-  }
-
-  override def bidColumn(schema: TableSchema): Column = {
-    def expr(n: QdNode): Column = n match {
-      case QdLeaf(bid) => lit(bid)
-      case QdSplit(_, name, t, l, r) => when(col(name) < lit(t), expr(l)).otherwise(expr(r))
-    }
-    expr(root)
   }
 }
 
@@ -53,7 +42,7 @@ final case class QdTreeLayout(id: String, root: QdNode, numPartitions: Int) exte
   */
 object QdTree {
 
-  private final case class Cut(colIdx: Int, colName: String, thr: Double)
+  private final case class Cut(colIdx: Int, thr: Double)
 
   /** Cap on candidate cuts (the most frequent are kept). */
   private val MaxCuts = 256
@@ -235,7 +224,7 @@ object QdTree {
     // assign BIDs in DFS order and freeze the tree
     var nextBid = 0
     def freeze(n: MutNode): QdNode = n.split match {
-      case Some((cut, l, r)) => QdSplit(cut.colIdx, cut.colName, cut.thr, freeze(l), freeze(r))
+      case Some((cut, l, r)) => QdSplit(cut.colIdx, cut.thr, freeze(l), freeze(r))
       case None =>
         val b = nextBid; nextBid += 1; QdLeaf(b)
     }
@@ -256,11 +245,11 @@ object QdTree {
     for (q <- queries; p <- q.preds) {
       val j = schema.indexOf(p.colName)
       p match {
-        case RangePred(c, lo, hi) =>
-          add(Cut(j, c, lo)); add(Cut(j, c, math.nextUp(hi)))
-        case InPred(c, vs) =>
-          if (vs.size <= 8) vs.foreach { v => add(Cut(j, c, v)); add(Cut(j, c, v + 1)) }
-          else { add(Cut(j, c, vs.min)); add(Cut(j, c, vs.max + 1)) }
+        case RangePred(_, lo, hi) =>
+          add(Cut(j, lo)); add(Cut(j, math.nextUp(hi)))
+        case InPred(_, vs) =>
+          if (vs.size <= 8) vs.foreach { v => add(Cut(j, v)); add(Cut(j, v + 1)) }
+          else { add(Cut(j, vs.min)); add(Cut(j, vs.max + 1)) }
       }
     }
     freq.toSeq.sortBy { case (c, n) => (-n, c.colIdx, c.thr) }.take(MaxCuts).map(_._1)

@@ -1,8 +1,7 @@
 package repro.layout
 
-import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions.{col, udf}
-import repro.core.{DataMatrix, Query, TableSchema}
+import repro.core.{DataMatrix, Query}
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 /** Workload-aware Z-order layout (paper §VI-A1): the dataset is split into
@@ -14,30 +13,24 @@ import scala.collection.mutable
   * partition boundaries are equi-depth quantiles of the sample Z-values.
   *
   * @param colIdxs      schema indices of the Z-order columns (<= 3)
-  * @param colNames     their names
   * @param bucketBounds per column: ascending inner bucket bounds (2^b - 1)
   * @param zBounds      ascending inner partition bounds over Z-values
   */
-final case class ZOrderLayout(id: String, colIdxs: IndexedSeq[Int], colNames: IndexedSeq[String],
-                              bucketBounds: IndexedSeq[Array[Double]],
-                              zBounds: Array[Long]) extends Layout {
-  override def numPartitions: Int = zBounds.length + 1
+final case class ZOrderLayout(id: String, colIdxs: IndexedSeq[Int],
+                              bucketBounds: IndexedSeq[ArraySeq[Double]],
+                              zBounds: ArraySeq[Long]) extends Layout {
+  private val buckets = bucketBounds.map(_.toArray).toArray
+  private val bounds = zBounds.toArray
+  /** Bits per column in the Morton code: enough for every column's bucket index. */
+  private val maxBits =
+    buckets.map(b => 64 - java.lang.Long.numberOfLeadingZeros(b.length.toLong)).maxOption.getOrElse(0)
 
-  private def bucket(bounds: Array[Double], v: Double): Int = {
-    var lo = 0; var hi = bounds.length
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      if (v < bounds(mid)) hi = mid else lo = mid + 1
-    }
-    lo
-  }
+  override def numPartitions: Int = bounds.length + 1
 
   /** Interleave the bucket bits of each column into the Morton code. */
   def zValue(values: IndexedSeq[Double]): Long = {
     val nCols = colIdxs.length
-    val bits = bucketBounds.map(b => 64 - java.lang.Long.numberOfLeadingZeros(b.length.toLong))
-    val maxBits = if (bits.isEmpty) 0 else bits.max.toInt
-    val bks = Array.tabulate(nCols)(c => bucket(bucketBounds(c), values(c)))
+    val bks = Array.tabulate(nCols)(c => RangeLayout.bin(buckets(c), values(c)))
     var z = 0L
     var bit = 0
     while (bit < maxBits) {
@@ -52,28 +45,15 @@ final case class ZOrderLayout(id: String, colIdxs: IndexedSeq[Int], colNames: In
   }
 
   def bidOfZ(z: Long): Int = {
-    var lo = 0; var hi = zBounds.length
+    var lo = 0; var hi = bounds.length
     while (lo < hi) {
       val mid = (lo + hi) >>> 1
-      if (z < zBounds(mid)) hi = mid else lo = mid + 1
+      if (z < bounds(mid)) hi = mid else lo = mid + 1
     }
     lo
   }
 
   override def bidOf(get: Int => Double): Int = bidOfZ(zValue(colIdxs.map(get)))
-
-  override def bidColumn(schema: TableSchema): Column = {
-    // Routing needs bucket binary-search + bit interleave — a deterministic
-    // scalar UDF over the <=3 Z columns (only used to materialize BID writes,
-    // never in query plans, so no pushdown is lost).
-    val self = this
-    val f = udf((a: Double, b: Double, c: Double) => {
-      val vals = IndexedSeq(a, b, c).take(self.colIdxs.length)
-      self.bidOfZ(self.zValue(vals))
-    })
-    val cs = colNames.map(col) ++ Seq.fill(3 - colNames.length)(col(colNames.head))
-    f(cs(0), cs(1), cs(2))
-  }
 }
 
 object ZOrder {
@@ -101,19 +81,11 @@ object ZOrder {
       case cs  => cs
     }
     val idxs = names.map(schema.indexOf).toIndexedSeq
-    val nBuckets = 1 << BitsPerCol
-    val bounds = idxs.map { j =>
-      val sorted = sample.cols(j).sorted
-      (1 until nBuckets).map { i =>
-        sorted(math.min(sorted.length - 1, (i.toLong * sorted.length / nBuckets).toInt))
-      }.distinct.toArray
-    }
+    val bounds = idxs.map(j =>
+      ArraySeq.unsafeWrapArray(RangeLayout.quantiles(sample.cols(j).sorted, 1 << BitsPerCol)))
     // provisional layout (no partition bounds yet) to compute sample Z-values
-    val proto = ZOrderLayout(id, idxs, names.toIndexedSeq, bounds, Array.empty)
+    val proto = ZOrderLayout(id, idxs, bounds, ArraySeq.empty)
     val zs = Array.tabulate(sample.numRows)(i => proto.zValue(idxs.map(j => sample.cols(j)(i)))).sorted
-    val zBounds = (1 until k).map { i =>
-      zs(math.min(zs.length - 1, (i.toLong * zs.length / k).toInt))
-    }.distinct.toArray
-    proto.copy(zBounds = zBounds)
+    proto.copy(zBounds = ArraySeq.unsafeWrapArray(RangeLayout.quantiles(zs, k)))
   }
 }

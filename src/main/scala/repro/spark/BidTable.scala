@@ -1,14 +1,14 @@
 package repro.spark
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
+import org.apache.spark.sql.functions.{col, struct, udf}
 import repro.core.{LayoutMetadata, Query, TableSchema}
 import repro.layout.Layout
 
 /** The paper's "shallow integration" with Spark (§VI-A1):
   *
-  *  - every row gets a `BID` column computed from the active layout's
-  *    routing function;
+  *  - every row gets a `BID` column computed by the active layout's
+  *    routing function, `bidOf`, the same function the simulation routes by;
   *  - the table is written as Parquet **partitioned by BID**, so each
   *    partition is its own file set (the paper rewrites "rows with the same
   *    BID into a new partition, stored as a Parquet file");
@@ -20,9 +20,18 @@ object BidTable {
 
   val BidCol = "BID"
 
+  /** `layout.bidOf` over the columns of `schema`, in schema order and read as
+    * doubles as [[repro.core.DataMatrix.collect]] reads them: one deterministic
+    * UDF of the row. It only materializes BIDs for writes and metadata, never
+    * inside a query plan, so no predicate pushdown is lost.
+    */
+  def bidColumn(layout: Layout, schema: TableSchema): Column =
+    udf((r: Row) => layout.bidOf(r.getDouble))
+      .apply(struct(schema.names.map(n => col(n).cast("double")): _*))
+
   /** Materialize `df` under `layout` at `path` (Parquet, partitioned by BID). */
   def write(df: DataFrame, schema: TableSchema, layout: Layout, path: String): Unit =
-    df.withColumn(BidCol, layout.bidColumn(schema))
+    df.withColumn(BidCol, bidColumn(layout, schema))
       .repartition(col(BidCol))
       .write
       .mode("overwrite")

@@ -94,7 +94,6 @@ class CandidateStreamSpec extends SparkSpec {
           if (badRoutes(e)) { release.await(10, TimeUnit.SECONDS); 7 }
           else if (get(0) < 1000) 0 else 1
         }
-        override def bidColumn(s: TableSchema) = org.apache.spark.sql.functions.lit(0)
       }
     }
   }

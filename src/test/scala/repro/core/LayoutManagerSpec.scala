@@ -32,9 +32,9 @@ class LayoutManagerSpec extends AnyFunSuite {
     val qs = Seq(query(0), query(5))
     val m = manager(0.1, qs)
     val s = state("s05", Set(0, 5))
-    assert(m.costVector(s) == IndexedSeq(0.1, 0.1))
+    assert(m.querySample.map(s.cost) == IndexedSeq(0.1, 0.1))
     val t = state("t1", Set(1))
-    assert(m.costVector(t) == IndexedSeq(0.9, 0.9))
+    assert(m.querySample.map(t.cost) == IndexedSeq(0.9, 0.9))
   }
 
   test("identical layouts are rejected") {
@@ -76,7 +76,8 @@ class LayoutManagerSpec extends AnyFunSuite {
     val qs = (0 until 5).map(v => query(v))
     val m = manager(0.5, qs)
     assert(m.shouldAdmit(state("x", Set(1)), Nil))
-    assert(m.minDistance(state("x", Set(1)), Nil).isPosInfinity)
+    // no two cost vectors in [0, 1] are farther apart than 1: only ∞ passes ε = 1
+    assert(manager(1.0, qs).shouldAdmit(state("x", Set(1)), Nil))
   }
 
   test("eviction never removes the current state") {

@@ -1,7 +1,8 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.layout.{Layout, QdTree, RangeLayout}
+import repro.layout.{Layout, QdTree, RangeLayout, ZOrder}
+import scala.collection.immutable.ArraySeq
 import scala.util.Random
 
 class MetadataBuilderSpec extends SparkSpec {
@@ -26,14 +27,14 @@ class MetadataBuilderSpec extends SparkSpec {
 
   test("fromMatrix: row counts cover the dataset exactly") {
     val m = matrix(500)
-    val l = RangeLayout("r", "a", 0, Array(25.0, 50.0, 75.0))
+    val l = RangeLayout("r", 0, ArraySeq(25.0, 50.0, 75.0))
     val meta = MetadataBuilder.fromMatrix(m, l)
     assert(meta.totalRows == 500)
   }
 
   test("fromMatrix: min/max are exact per partition") {
     val m = DataMatrix(schema, Array(Array(1.0, 5.0, 30.0, 99.0), Array(0.0, 1.0, 2.0, 3.0)))
-    val l = RangeLayout("r", "a", 0, Array(20.0))
+    val l = RangeLayout("r", 0, ArraySeq(20.0))
     val meta = MetadataBuilder.fromMatrix(m, l)
     val p0 = meta.partitions.find(_.bid == 0).get
     assert(p0.cols("a").min == 1.0 && p0.cols("a").max == 5.0)
@@ -43,7 +44,7 @@ class MetadataBuilderSpec extends SparkSpec {
 
   test("fromMatrix: distinct sets kept only for categorical columns") {
     val m = matrix(200)
-    val l = RangeLayout("r", "a", 0, Array(50.0))
+    val l = RangeLayout("r", 0, ArraySeq(50.0))
     val meta = MetadataBuilder.fromMatrix(m, l)
     for (p <- meta.partitions) {
       assert(p.cols("a").distinct.isEmpty)
@@ -54,7 +55,7 @@ class MetadataBuilderSpec extends SparkSpec {
 
   test("fromMatrix: empty partitions are dropped") {
     val m = DataMatrix(schema, Array(Array(1.0, 2.0), Array(0.0, 1.0)))
-    val l = RangeLayout("r", "a", 0, Array(100.0, 200.0)) // partitions 1,2 empty
+    val l = RangeLayout("r", 0, ArraySeq(100.0, 200.0)) // partitions 1,2 empty
     val meta = MetadataBuilder.fromMatrix(m, l)
     assert(meta.partitions.map(_.bid) == IndexedSeq(0))
   }
@@ -64,13 +65,12 @@ class MetadataBuilderSpec extends SparkSpec {
     val bad = new repro.layout.Layout {
       val id = "bad"; val numPartitions = 2
       def bidOf(get: Int => Double): Int = 7
-      def bidColumn(s: TableSchema) = org.apache.spark.sql.functions.lit(7)
     }
     assertThrows[IllegalArgumentException](MetadataBuilder.fromMatrix(m, bad))
   }
 
   /** A range layout of 65 partitions, one more than the metadata holds. */
-  private val tooMany = RangeLayout("r65", "a", 0, Array.tabulate(64)(_.toDouble))
+  private val tooMany = RangeLayout("r65", 0, ArraySeq.tabulate(64)(_.toDouble))
 
   test("fromMatrix: more than 64 partitions are rejected") {
     assertThrows[IllegalArgumentException](MetadataBuilder.fromMatrix(matrix(100), tooMany))
@@ -84,31 +84,40 @@ class MetadataBuilderSpec extends SparkSpec {
   private def badCode(v: Double) = DataMatrix(schema, Array(Array(1.0, 2.0), Array(1.0, v)))
 
   test("fromMatrix: a categorical value that is not a code in [0, 64) is rejected") {
-    val l = RangeLayout("r", "a", 0, Array(50.0))
+    val l = RangeLayout("r", 0, ArraySeq(50.0))
     for (v <- Seq(2.5, -1.0, 64.0))
       withClue(v)(assertThrows[IllegalArgumentException](MetadataBuilder.fromMatrix(badCode(v), l)))
   }
 
   test("fromDataFrame: a categorical value that is not a code in [0, 64) is rejected") {
-    val l = RangeLayout("r", "a", 0, Array(50.0))
+    val l = RangeLayout("r", 0, ArraySeq(50.0))
     assertThrows[IllegalArgumentException](MetadataBuilder.fromDataFrame(toDf(badCode(2.5)), schema, l))
   }
 
-  test("fromDataFrame matches fromMatrix on identical data (range layout)") {
-    val m = matrix(400, seed = 3)
-    val l = RangeLayout("r", "a", 0, Array(25.0, 50.0, 75.0))
+  /** Spark's BID column routes `m` through `l` exactly as `fromMatrix` does, into more than one partition. */
+  private def assertSparkMatchesLocal(m: DataMatrix, l: Layout): Unit = {
     val local = MetadataBuilder.fromMatrix(m, l)
-    val viaSpark = MetadataBuilder.fromDataFrame(toDf(m), schema, l)
-    assert(viaSpark.partitions == local.partitions)
+    assert(local.partitions.size > 1, l.id)
+    assert(MetadataBuilder.fromDataFrame(toDf(m), schema, l).partitions == local.partitions, l.id)
+  }
+
+  private val rangeQueries = (0 until 20).map(i => Query(i, 0, Seq(RangePred("a", i * 5.0, i * 5.0 + 4))))
+
+  test("fromDataFrame matches fromMatrix on identical data (range layout)") {
+    assertSparkMatchesLocal(matrix(400, seed = 3), RangeLayout("r", 0, ArraySeq(25.0, 50.0, 75.0)))
   }
 
   test("fromDataFrame matches fromMatrix on a qd-tree layout") {
     val m = matrix(600, seed = 4)
-    val qs = (0 until 20).map(i => Query(i, 0, Seq(RangePred("a", i * 5.0, i * 5.0 + 4))))
-    val t = QdTree.build(m, qs, 8, "t")
-    val local = MetadataBuilder.fromMatrix(m, t)
-    val viaSpark = MetadataBuilder.fromDataFrame(toDf(m), schema, t)
-    assert(viaSpark.partitions == local.partitions)
+    assertSparkMatchesLocal(m, QdTree.build(m, rangeQueries, 8, "t"))
+  }
+
+  test("fromDataFrame matches fromMatrix on a Z-order layout over both columns") {
+    val m = matrix(600, seed = 4)
+    val both = rangeQueries.map(q => q.copy(preds = q.preds :+ InPred("c", Set((q.id % 4).toDouble))))
+    val z = ZOrder.build(m, both, 8, "z")
+    assert(z.colIdxs.size == 2)
+    assertSparkMatchesLocal(m, z)
   }
 
   test("skipping is conservative: skipped partitions contain no matching rows") {
@@ -128,7 +137,7 @@ class MetadataBuilderSpec extends SparkSpec {
 
   test("fractionAccessed is within [0,1] for arbitrary queries (property)") {
     val m = matrix(500, seed = 8)
-    val l = RangeLayout("r", "a", 0, Array(30.0, 60.0))
+    val l = RangeLayout("r", 0, ArraySeq(30.0, 60.0))
     val meta = MetadataBuilder.fromMatrix(m, l)
     val rng = new Random(2)
     for (_ <- 1 to 500) {
@@ -141,7 +150,7 @@ class MetadataBuilderSpec extends SparkSpec {
 
   test("fraction accessed upper-bounds the true matching fraction") {
     val m = matrix(800, seed = 9)
-    val l = RangeLayout("r", "a", 0, Array(20.0, 40.0, 60.0, 80.0))
+    val l = RangeLayout("r", 0, ArraySeq(20.0, 40.0, 60.0, 80.0))
     val meta = MetadataBuilder.fromMatrix(m, l)
     val rng = new Random(3)
     for (_ <- 1 to 100) {
@@ -166,7 +175,7 @@ class MetadataBuilderSpec extends SparkSpec {
     for (n <- sizes) {
       val m = matrix(n, seed = n)
       val qs = (0 until 20).map(i => Query(i, 0, Seq(RangePred("a", i * 5.0, i * 5.0 + 4))))
-      for (l <- Seq(RangeLayout("r", "a", 0, Array.tabulate(7)(i => 12.5 * (i + 1))), QdTree.build(m, qs, 8, "t"))) {
+      for (l <- Seq(RangeLayout("r", 0, ArraySeq.tabulate(7)(i => 12.5 * (i + 1))), QdTree.build(m, qs, 8, "t"))) {
         val meta = MetadataBuilder.fromMatrix(m, l)
         assert(meta.partitions == sequentialFold(m, l), s"$n rows, ${l.id}")
         assert(meta.totalRows == n)
@@ -183,7 +192,7 @@ class MetadataBuilderSpec extends SparkSpec {
         Array.fill(n)(rng.nextDouble() * 100),
         Array.fill(n)(if (rng.nextInt(5) == 0) -0.0 else rng.nextInt(4).toDouble),
         Array.fill(n)(rng.nextInt(64).toDouble)))
-      val l = RangeLayout("r", "a", 0, Array(10.0, 40.0, 41.0, 90.0))
+      val l = RangeLayout("r", 0, ArraySeq(10.0, 40.0, 41.0, 90.0))
       val fold = sequentialFold(m, l)
       // -0.0 is code 0 and comes out as +0.0, which compares equal to it
       assert(n < 50 || fold.exists(p => 1 / p.cols("c").min < 0), "some partition's fold min is -0.0")
@@ -199,11 +208,10 @@ class MetadataBuilderSpec extends SparkSpec {
     val bad = new Layout {
       val id = "bad"; val numPartitions = 2
       def bidOf(get: Int => Double): Int = if (get(0) < 500) 0 else get(0).toInt
-      def bidColumn(s: TableSchema) = org.apache.spark.sql.functions.lit(0)
     }
     val e = intercept[IllegalArgumentException](MetadataBuilder.fromMatrix(m, bad))
     assert(e.getMessage == "layout bad routed row to BID 500 outside [0,2)")
-    val l = RangeLayout("r", "a", 0, Array(250.0, 750.0))
+    val l = RangeLayout("r", 0, ArraySeq(250.0, 750.0))
     assert(MetadataBuilder.fromMatrix(m, l).partitions == sequentialFold(m, l))
     val codes = m.cols(1).clone()
     codes(600) = 70.0; codes(900) = 2.5

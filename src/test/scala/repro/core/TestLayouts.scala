@@ -1,7 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions.lit
 import repro.layout.Layout
 
 /** Synthetic layout states with *controllable* query costs for pure unit
@@ -24,7 +22,6 @@ object TestLayouts {
     */
   final case class FakeLayout(id: String, numPartitions: Int) extends Layout {
     override def bidOf(get: Int => Double): Int = 0
-    override def bidColumn(s: TableSchema): Column = lit(0)
   }
 
   def state(id: String, goodFor: Set[Int]): LayoutState = {

@@ -93,8 +93,7 @@ class ExpHarnessSpec extends SparkSpec {
   }
 
   test("Setup builds the Static and per-template best states once per generator") {
-    // a state's id and partition metadata, which its costs are computed from;
-    // Z-order layouts hold arrays, so only Qd-tree layouts compare with ==
+    // a state's id and partition metadata, which its costs are computed from
     def view(s: LayoutState) = (s.id, s.metadata.partitions)
     for (gen <- Seq(QdTreeGen, ZOrderGen)) {
       val static = Lab.staticState(tpch.data, tpch.workload, gen, Lab.K)
@@ -103,10 +102,8 @@ class ExpHarnessSpec extends SparkSpec {
       assert(tpch.best(gen) eq tpch.best(gen), gen.name)
       assert(view(tpch.static(gen)) == view(static), gen.name)
       assert(tpch.best(gen).view.mapValues(view).toMap == best.view.mapValues(view).toMap, gen.name)
-      if (gen == QdTreeGen) {
-        assert(tpch.static(gen).layout == static.layout)
-        assert(tpch.best(gen).view.mapValues(_.layout).toMap == best.view.mapValues(_.layout).toMap)
-      }
+      assert(tpch.static(gen).layout == static.layout, gen.name)
+      assert(tpch.best(gen).view.mapValues(_.layout).toMap == best.view.mapValues(_.layout).toMap, gen.name)
     }
   }
 

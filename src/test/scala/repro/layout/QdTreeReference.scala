@@ -10,7 +10,7 @@ import scala.collection.mutable
   */
 object QdTreeReference {
 
-  private final case class Cut(colIdx: Int, colName: String, thr: Double)
+  private final case class Cut(colIdx: Int, thr: Double)
 
   /** Build a Qd-tree layout from a data sample and a query workload.
     *
@@ -136,7 +136,7 @@ object QdTreeReference {
     // assign BIDs in DFS order and freeze the tree
     var nextBid = 0
     def freeze(n: MutNode): QdNode = n.split match {
-      case Some((cut, l, r)) => QdSplit(cut.colIdx, cut.colName, cut.thr, freeze(l), freeze(r))
+      case Some((cut, l, r)) => QdSplit(cut.colIdx, cut.thr, freeze(l), freeze(r))
       case None =>
         val b = nextBid; nextBid += 1; QdLeaf(b)
     }
@@ -151,11 +151,11 @@ object QdTreeReference {
     for (q <- queries; p <- q.preds) {
       val j = schema.indexOf(p.colName)
       p match {
-        case RangePred(c, lo, hi) =>
-          add(Cut(j, c, lo)); add(Cut(j, c, math.nextUp(hi)))
-        case InPred(c, vs) =>
-          if (vs.size <= 8) vs.foreach { v => add(Cut(j, c, v)); add(Cut(j, c, v + 1)) }
-          else { add(Cut(j, c, vs.min)); add(Cut(j, c, vs.max + 1)) }
+        case RangePred(_, lo, hi) =>
+          add(Cut(j, lo)); add(Cut(j, math.nextUp(hi)))
+        case InPred(_, vs) =>
+          if (vs.size <= 8) vs.foreach { v => add(Cut(j, v)); add(Cut(j, v + 1)) }
+          else { add(Cut(j, vs.min)); add(Cut(j, vs.max + 1)) }
       }
     }
     freq.toSeq.sortBy { case (c, n) => (-n, c.colIdx, c.thr) }.take(maxCuts).map(_._1)

@@ -4,6 +4,7 @@ import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
+import scala.collection.immutable.ArraySeq
 import scala.util.Random
 
 class QdTreeSpec extends AnyFunSuite {
@@ -54,8 +55,8 @@ class QdTreeSpec extends AnyFunSuite {
     val m = matrix(1000)
     val t = QdTree.build(m, Seq(rangeQ(50, 100)), 2, "t")
     t.root match {
-      case QdSplit(j, name, thr, _, _) =>
-        assert(name == "a" && j == 0)
+      case QdSplit(j, thr, _, _) =>
+        assert(schema(j).name == "a")
         assert(thr == 50.0 || thr == math.nextUp(100.0))
       case other => fail(s"expected a split, got $other")
     }
@@ -117,15 +118,6 @@ class QdTreeSpec extends AnyFunSuite {
     assert(t1.root == t2.root)
   }
 
-  test("bidColumn agrees with bidOf (via Catalyst evaluation)") {
-    // exercised end-to-end in MetadataBuilderSpec (Spark); here check the
-    // expression tree is well-formed for a routed sample
-    val m = matrix(300)
-    val qs = (0 until 10).map(i => rangeQ(i * 10.0, i * 10.0 + 5, i))
-    val t = QdTree.build(m, qs, 4, "t")
-    assert(t.bidColumn(schema) != null)
-  }
-
   test("empty workload yields a single partition") {
     val t = QdTree.build(matrix(100), Nil, 8, "t")
     assert(t.numPartitions == 1)
@@ -136,7 +128,7 @@ class QdTreeSpec extends AnyFunSuite {
       val m = DataMatrix(schema, Array(Array(1.0, 60.0), Array(1.0, 2.0), Array(1.0, v)))
       val built = intercept[IllegalArgumentException](QdTree.build(m, Seq(rangeQ(0, 10)), 2, "t"))
       val meta = intercept[IllegalArgumentException](
-        MetadataBuilder.fromMatrix(m, RangeLayout("r", "a", 0, Array(50.0))))
+        MetadataBuilder.fromMatrix(m, RangeLayout("r", 0, ArraySeq(50.0))))
       assert(built.getMessage == meta.getMessage, v)
     }
   }

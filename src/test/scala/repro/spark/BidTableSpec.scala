@@ -44,8 +44,10 @@ class BidTableSpec extends SparkSpec {
   private lazy val qdMeta = MetadataBuilder.fromMatrix(data, qdLayout)
   private lazy val zPath = written(zLayout, "z")
   private lazy val zMeta = MetadataBuilder.fromMatrix(data, zLayout)
-  private lazy val rangeLayout = RangeLayout.equiDepth("by-date", "o_orderdate",
-    data.cols(TpchLite.schema.indexOf("o_orderdate")), 8, TpchLite.schema)
+  private lazy val rangeLayout = {
+    val j = TpchLite.schema.indexOf("o_orderdate")
+    RangeLayout.equiDepth("by-date", j, data.cols(j), 8)
+  }
   private lazy val rangePath = written(rangeLayout, "range")
   private lazy val rangeMeta = MetadataBuilder.fromMatrix(data, rangeLayout)
   /** The Qd-tree table reorganized to the range layout, and the seconds it took. */
@@ -55,7 +57,7 @@ class BidTableSpec extends SparkSpec {
   }
 
   /** The rows per BID value of the table at `path` are those of `meta`, i.e.
-    * the layout's `bidColumn` routes every row as its `bidOf` does.
+    * `BidTable.bidColumn` routes every row as the layout's `bidOf` does.
     */
   private def assertBidCounts(path: String, meta: LayoutMetadata): Unit = {
     val counts = BidTable.read(spark, path).groupBy(BidTable.BidCol).count().collect()
