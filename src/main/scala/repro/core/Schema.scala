@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.concurrent.atomic.AtomicReferenceArray
 import org.apache.spark.sql.DataFrame
 
 /** Column of an encoded analytic table.
@@ -39,13 +40,22 @@ final case class DataMatrix(schema: TableSchema, cols: Array[Array[Double]]) {
   require(cols.length == schema.size, s"matrix has ${cols.length} columns, schema has ${schema.size}")
   val numRows: Int = if (cols.isEmpty) 0 else cols(0).length
 
-  /** Per column, the row ids in ascending order of the column's values (the
-    * order of `java.util.Arrays.sort`), ties by row id: the presorted
-    * attribute lists a Qd-tree build starts from. Computed once per instance
-    * on first use and shared by every build on it, so callers must not
-    * mutate the arrays.
+  private val orders = new AtomicReferenceArray[Array[Int]](cols.length)
+
+  /** The row ids of column `j` in ascending order of its values (the order
+    * of `java.util.Arrays.sort`), ties by row id: the presorted attribute
+    * list a Qd-tree build starts from. Computed on the column's first use
+    * and shared by every build on this instance, on any thread (the first
+    * published result wins), so callers must not mutate the array.
     */
-  lazy val order: Array[Array[Int]] = cols.map(DataMatrix.argsort)
+  def orderOf(j: Int): Array[Int] = {
+    val o = orders.get(j)
+    if (o != null) o
+    else {
+      orders.compareAndSet(j, null, DataMatrix.argsort(cols(j)))
+      orders.get(j)
+    }
+  }
 
   /** Accessor for row `i`: returns a colIdx -> value function used by layout routing. */
   def row(i: Int): Int => Double = j => cols(j)(i)

@@ -44,7 +44,7 @@ class SchemaSpec extends SparkSpec {
         if (rng.nextInt(3) == 0) specials(rng.nextInt(specials.length)) else rng.nextInt(10) - 4.5)
       val m = DataMatrix(schema, Array(mixed, Array.fill(rows)(1.0)))
       for (j <- 0 until 2) {
-        val col = m.cols(j); val ord = m.order(j)
+        val col = m.cols(j); val ord = m.orderOf(j)
         val sorted = col.clone()
         java.util.Arrays.sort(sorted)
         assert(ord.sorted.toSeq == (0 until rows), "a permutation of the rows")
@@ -52,8 +52,22 @@ class SchemaSpec extends SparkSpec {
           sorted.map(java.lang.Double.doubleToLongBits).toSeq, "in the sort's order, -0.0 before 0.0, NaN last")
         for (i <- 1 until rows if java.lang.Double.compare(col(ord(i - 1)), col(ord(i))) == 0)
           assert(ord(i - 1) < ord(i), "ties by row id")
+        assert(m.orderOf(j) eq ord)
       }
-      assert(m.order eq m.order)
+    }
+  }
+
+  test("concurrent first calls of orderOf return one order per column") {
+    val rng = new scala.util.Random(11)
+    val wide = TableSchema((0 until 3).map(j => ColumnDef(s"c$j")))
+    for (_ <- 1 to 20) {
+      val m = DataMatrix(wide, Array.fill(3)(Array.fill(2000)(rng.nextInt(50).toDouble)))
+      val orders = Pool.map(4 * wide.size)(i => m.orderOf(i % wide.size))
+      for (i <- orders.indices) {
+        val j = i % wide.size
+        assert(orders(i) eq m.orderOf(j), "every caller gets the published order")
+        assert(orders(i).toSeq == DataMatrix(wide, m.cols).orderOf(j).toSeq)
+      }
     }
   }
 

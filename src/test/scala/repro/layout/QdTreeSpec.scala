@@ -136,8 +136,8 @@ class QdTreeSpec extends AnyFunSuite {
   /** A column: numeric, categorical with distinct sets (2–25 codes), or
     * categorical over 100 codes (too many for distinct sets).
     */
-  private val columnDefs: Gen[IndexedSeq[ColumnDef]] = for {
-    n <- Gen.choose(1, 5)
+  private def columnDefs(maxCols: Int): Gen[IndexedSeq[ColumnDef]] = for {
+    n <- Gen.choose(1, maxCols)
     cards <- Gen.listOfN(n, Gen.frequency(2 -> Gen.const(0), 3 -> Gen.choose(2, 25), 1 -> Gen.const(100)))
   } yield cards.zipWithIndex.map { case (c, j) =>
     ColumnDef(s"c$j", isCategorical = c > 0, cardinality = c)
@@ -169,36 +169,74 @@ class QdTreeSpec extends AnyFunSuite {
     Gen.choose(1, 12).flatMap(n => Gen.containerOfN[Set, Double](n, v)).suchThat(_.nonEmpty).map(InPred(c.name, _))
   }
 
-  /** A workload: empty, ranges only, mostly IN lists, or mixed. */
-  private def workload(cols: IndexedSeq[ColumnDef]): Gen[Seq[Query]] = for {
+  /** A workload of `size` queries over `cols`: ranges only, mostly IN lists, or mixed. */
+  private def workload(cols: Seq[ColumnDef], size: Gen[Int]): Gen[Seq[Query]] = for {
     inShare <- Gen.oneOf(0, 0, 9, 5)
-    n <- Gen.frequency(1 -> Gen.const(0), 9 -> Gen.choose(1, 60))
+    n <- size
     qs <- Gen.listOfN(n, Gen.choose(1, 3).flatMap(np => Gen.listOfN(np, for {
       c <- Gen.oneOf(cols)
       p <- Gen.frequency(10 - inShare -> rangePred(c), inShare -> inPred(c))
     } yield p)))
   } yield qs.zipWithIndex.map { case (ps, i) => Query(i, 0, ps) }
 
-  test("the presorted build gives the reference build's layout (property)") {
+  /** Up to 60 queries, or none. */
+  private val smallWorkload: Gen[Int] = Gen.frequency(1 -> Gen.const(0), 9 -> Gen.choose(1, 60))
+
+  /** Checks that [[QdTree.build]] gives [[QdTreeReference.build]]'s layout on
+    * `tests` cases of `cols` columns, a workload over those `reads(cols)`
+    * returns, and up to `maxRows` rows.
+    */
+  private def checkAgainstReference(cols: Gen[IndexedSeq[ColumnDef]], reads: IndexedSeq[ColumnDef] => Gen[Seq[ColumnDef]],
+                                    size: Gen[Int], maxRows: Int, tests: Int, seed: Long): Unit = {
     val cases = for {
-      cols <- columnDefs
+      cs <- cols
+      read <- reads(cs)
       k <- Gen.frequency(1 -> Gen.const(1), 1 -> Gen.const(64), 6 -> Gen.choose(1, 64))
-      rows <- Gen.frequency(1 -> Gen.choose(0, k), 4 -> Gen.choose(k, 400))
-      data <- Gen.sequence[List[Array[Double]], Array[Double]](cols.map(c => Gen.listOfN(rows, value(c)).map(_.toArray)))
-      qs <- workload(cols)
+      rows <- Gen.frequency(1 -> Gen.choose(0, k), 4 -> Gen.choose(k, maxRows))
+      data <- Gen.sequence[List[Array[Double]], Array[Double]](cs.map(c => Gen.listOfN(rows, value(c)).map(_.toArray)))
+      qs <- workload(read, size)
       minLeafFrac <- Gen.oneOf(0.05, 0.2, 0.5)
-    } yield (DataMatrix(TableSchema(cols), data.toArray), qs, k, minLeafFrac)
+    } yield (DataMatrix(TableSchema(cs), data.toArray), qs, k, minLeafFrac)
     val prop = Prop.forAllNoShrink(cases) { case (m, qs, k, minLeafFrac) =>
       val reference = QdTreeReference.build(m, qs, k, "t", minLeafFrac = minLeafFrac)
-      // the first build sorts the sample, the second reads its cached order
+      // the first build sorts the sample's read columns, the second reads their cached orders
       for (_ <- 1 to 2)
         assert(QdTree.build(m, qs, k, "t", minLeafFrac = minLeafFrac) == reference,
           (m.schema, m.cols.map(_.toSeq).toSeq, qs, k, minLeafFrac))
-      // and neither build changed the cached order
-      assert(m.order.map(_.toSeq).toSeq == DataMatrix(m.schema, m.cols).order.map(_.toSeq).toSeq)
+      // and neither build changed a cached order
+      val fresh = DataMatrix(m.schema, m.cols)
+      for (j <- 0 until m.schema.size) assert(m.orderOf(j).toSeq == fresh.orderOf(j).toSeq)
       true
     }
-    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(400).withInitialSeed(Seed(17)), prop)
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(tests).withInitialSeed(Seed(seed)), prop)
     assert(res.passed, res.status)
+  }
+
+  test("the presorted build gives the reference build's layout (property)") {
+    checkAgainstReference(columnDefs(5), Gen.const(_), smallWorkload, maxRows = 400, tests = 400, seed = 17)
+  }
+
+  test("the reference build's layout when the workload reads only some columns (property)") {
+    // unread numeric and categorical columns are neither sorted nor cut
+    checkAgainstReference(columnDefs(8), cs => Gen.atLeastOne(cs).map(_.toSeq), smallWorkload,
+      maxRows = 400, tests = 300, seed = 23)
+  }
+
+  test("the reference build's layout for workloads of 500 to 2000 queries (property)") {
+    checkAgainstReference(columnDefs(3), Gen.const(_), Gen.choose(500, 2000), maxRows = 1000, tests = 15, seed = 29)
+  }
+
+  test("a child whose read column is all NaN re-tests the queries its parent skipped") {
+    // b is NaN wherever a < 50, so the cut a < 50 leaves the left child with
+    // no b bounds: the query on b skips the root but not that child, where
+    // its predicate on a earns the cut a < nextUp(9).
+    val s2 = TableSchema(IndexedSeq(ColumnDef("a"), ColumnDef("b")))
+    val a = Array.tabulate(400)(i => (i % 100).toDouble)
+    val m = DataMatrix(s2, Array(a, a.map(v => if (v < 50) Double.NaN else v)))
+    val qs = (0 until 8).map(i => Query(i, 0, Seq(RangePred("a", 50, 99)))) :+
+      Query(8, 0, Seq(RangePred("b", -10, -5), RangePred("a", 0, 9)))
+    val t = QdTree.build(m, qs, 3, "t", minLeafFrac = 0.05)
+    assert(t == QdTreeReference.build(m, qs, 3, "t", minLeafFrac = 0.05))
+    assert(t.root == QdSplit(0, 50.0, QdSplit(0, math.nextUp(9.0), QdLeaf(0), QdLeaf(1)), QdLeaf(2)))
   }
 }

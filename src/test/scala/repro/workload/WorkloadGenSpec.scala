@@ -52,7 +52,7 @@ class WorkloadGenSpec extends AnyFunSuite {
 
   test("segments have non-degenerate lengths") {
     val w = WorkloadGen.generate(templates, 3000, 20, 5)
-    val lens = (w.segmentStarts :+ w.size).sliding(2).map { case Seq(a, b) => b - a }.toSeq
+    val lens = (w.segmentStarts :+ w.size).sliding(2).map(p => p(1) - p(0)).toSeq
     assert(lens.forall(_ >= 1))
     assert(lens.max < 3000 / 2) // no segment dominates the stream
   }
