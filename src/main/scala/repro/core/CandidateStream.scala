@@ -1,6 +1,6 @@
 package repro.core
 
-import java.util.concurrent.Future
+import java.util.concurrent.CompletableFuture
 import repro.layout.{Layout, LayoutGen}
 import repro.workload.Workload
 import scala.collection.mutable
@@ -44,8 +44,11 @@ object CandidateStream {
   /** Run the generation schedule over the workload and materialize each
     * candidate's partition metadata against `data` (a driver-local matrix of
     * the dataset — see DESIGN.md §2 on simulation-mode metadata).
-    * `gen` runs on the caller's thread; the result and the exception thrown
-    * are those of a sequential loop of `generate` then [[state]] per epoch.
+    * `gen` runs on the caller's thread, and each epoch's metadata starts
+    * building as soon as its layout exists; the result and the exception
+    * thrown are those of a sequential loop of `generate` then [[state]] per
+    * epoch, and every build started is finished before `compute` returns or
+    * throws.
     */
   def compute(workload: Workload, data: DataMatrix, gen: LayoutGen,
               source: Sampled, cfg: GenConfig = GenConfig()): Vector[Candidate] = {
@@ -60,11 +63,9 @@ object CandidateStream {
         (reservoir.add, () => reservoir.sample)
     }
     // Layouts are generated here, one epoch after another; each epoch's
-    // metadata builds on the pipeline thread while the next layout grows.
-    val pending = mutable.ArrayBuffer.empty[(Int, Future[LayoutState])]
-    def states(): IndexedSeq[LayoutState] = Pool.await(pending.map(_._2).toSeq)
-    var epoch = 0
-    try {
+    // metadata builds on the pool while the next layouts grow.
+    Pool.gather[Candidate] { started =>
+      var epoch = 0
       for ((q, i) <- workload.queries.zipWithIndex) {
         add(q)
         if ((i + 1) % cfg.every == 0) {
@@ -72,18 +73,18 @@ object CandidateStream {
           val qs = current()
           if (qs.nonEmpty) {
             val layout = gen.generate(buildSample, qs, cfg.k, s"${gen.name}-${source.tag}-$epoch")
-            pending += i -> Pool.later(state(layout, data))
+            started += stateAsync(layout, data).thenApply(Candidate(i, _))
           }
         }
       }
-    } catch {
-      // an earlier epoch's metadata failure comes first, as in a sequential loop
-      case e: Throwable => states(); throw e
-    }
-    pending.map(_._1).zip(states()).map { case (i, s) => Candidate(i, s) }.toVector
+    }.toVector
   }
 
   /** Build a [[LayoutState]] from a concrete layout and the dataset matrix. */
   def state(layout: Layout, data: DataMatrix): LayoutState =
     LayoutState(layout, MetadataBuilder.fromMatrix(data, layout))
+
+  /** [[state]] as a future whose metadata builds on the [[Pool]]. */
+  private[repro] def stateAsync(layout: Layout, data: DataMatrix): CompletableFuture[LayoutState] =
+    MetadataBuilder.fromMatrixAsync(data, layout).thenApply(LayoutState(layout, _))
 }

@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.concurrent.CompletableFuture
 import org.apache.spark.sql.{DataFrame, functions => F}
 import repro.layout.Layout
 import repro.spark.BidTable
@@ -115,28 +116,37 @@ object MetadataBuilder {
     }
   }
 
-  /** Driver-local metadata on the shared [[Pool]]: rows are routed in
-    * contiguous chunks, one task each, and each column is aggregated by one
-    * task. Counts, min, max and code masks combine exactly, so the result
-    * does not depend on the pool size. A rejected row or value throws the
-    * same exception, for the same first row, as a sequential pass would.
+  /** Driver-local metadata as a task graph on the shared [[Pool]]: rows are
+    * routed in contiguous chunks, one task each; once every chunk is routed,
+    * each column is aggregated by one task; once every column is, the
+    * metadata is assembled. No task waits on another: each phase is a stage
+    * that depends on the previous phase's future. Counts, min, max and
+    * code masks combine exactly, so the result does not depend on the pool
+    * size. A rejected row or value fails the future with the same exception,
+    * for the same first row, as a sequential pass would throw; a layout of
+    * too many partitions is rejected at once, on the caller's thread.
     */
-  def fromMatrix(m: DataMatrix, layout: Layout): LayoutMetadata = {
+  def fromMatrixAsync(m: DataMatrix, layout: Layout): CompletableFuture[LayoutMetadata] = {
     val k = checkPartitions(layout)
     val n = m.numRows
     val bidOfRow = new Array[Int](n)
     val chunks = math.max(1, math.min(Pool.size, n))
-    val counts = new Array[Long](k)
-    for (chunk <- Pool.map(chunks)(c =>
-           route(m, layout, k, (c.toLong * n / chunks).toInt, ((c + 1).toLong * n / chunks).toInt, bidOfRow));
-         b <- 0 until k)
-      counts(b) += chunk(b)
-    // keep the non-empty BIDs
-    val bids = (0 until k).filter(counts(_) > 0).toArray
-    val perCol = Pool.map(m.schema.size)(j => aggregate(m, j, k, bidOfRow))
-    new LayoutMetadata(bids, bids.map(counts), m.schema.names,
-      perCol.map { case (mn, _, _) => bids.map(mn) }.toArray,
-      perCol.map { case (_, mx, _) => bids.map(mx) }.toArray,
-      perCol.map { case (_, _, cs) => if (cs == null) null else bids.map(cs) }.toArray)
+    val routed = Pool.all((0 until chunks).map(c => Pool.async(
+      route(m, layout, k, (c.toLong * n / chunks).toInt, ((c + 1).toLong * n / chunks).toInt, bidOfRow))))
+    routed.thenCompose { perChunk =>
+      val counts = new Array[Long](k)
+      for (chunk <- perChunk; b <- 0 until k) counts(b) += chunk(b)
+      // keep the non-empty BIDs
+      val bids = (0 until k).filter(counts(_) > 0).toArray
+      Pool.all((0 until m.schema.size).map(j => Pool.async(aggregate(m, j, k, bidOfRow)))).thenApply { perCol =>
+        new LayoutMetadata(bids, bids.map(counts), m.schema.names,
+          perCol.map { case (mn, _, _) => bids.map(mn) }.toArray,
+          perCol.map { case (_, mx, _) => bids.map(mx) }.toArray,
+          perCol.map { case (_, _, cs) => if (cs == null) null else bids.map(cs) }.toArray)
+      }
+    }
   }
+
+  /** [[fromMatrixAsync]], waited for on the caller's thread (not a pool worker). */
+  def fromMatrix(m: DataMatrix, layout: Layout): LayoutMetadata = Pool.await(fromMatrixAsync(m, layout))
 }

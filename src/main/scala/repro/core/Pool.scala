@@ -1,50 +1,51 @@
 package repro.core
 
-import java.util.concurrent.{Callable, ExecutionException, Executors, Future, ThreadFactory}
+import java.util.concurrent.{CompletableFuture, ExecutionException, Executors}
+import scala.collection.mutable
 
-/** The one shared worker pool for data-parallel loops inside a call
-  * ([[MetadataBuilder.fromMatrix]]): `availableProcessors` daemon threads,
-  * created on first use. A task must not submit to the pool itself, and
-  * code that is not thread-safe must not run on it — in particular
-  * `LayoutGen.generate`, which callers may wrap in single-threaded tracing.
+/** The one shared worker pool: `availableProcessors` daemon threads, created
+  * on first use. Work reaches it as [[async]] tasks, which a caller chains
+  * into a task graph with `CompletableFuture`'s `then…` stages (for example
+  * [[MetadataBuilder.fromMatrixAsync]]).
   *
-  * Next to the workers, one long-lived daemon thread runs pipeline stages
-  * ([[later]]) in submission order. It is not a worker, so a stage may call
-  * [[map]] and wait for the workers without taking one of them.
+  * A task never waits on another future: a stage that needs other results
+  * depends on their future rather than blocking a worker in [[await]]. So the
+  * pool cannot deadlock, even at `size == 1`. Only a thread that is not a
+  * worker may call [[await]] or [[gather]]. Code that is not thread-safe must
+  * not run on the pool — in particular `LayoutGen.generate`, which callers
+  * may wrap in single-threaded tracing.
   */
 private[repro] object Pool {
 
   val size: Int = Runtime.getRuntime.availableProcessors
 
-  private def daemons(name: String): ThreadFactory = (r: Runnable) => {
-    val t = new Thread(r, name)
+  private lazy val workers = Executors.newFixedThreadPool(size, (r: Runnable) => {
+    val t = new Thread(r, "repro-pool")
     t.setDaemon(true)
     t
-  }
+  })
 
-  private lazy val workers = Executors.newFixedThreadPool(size, daemons("repro-pool"))
+  /** `f` as a task on a worker. */
+  def async[T](f: => T): CompletableFuture[T] = CompletableFuture.supplyAsync(() => f, workers)
 
-  private lazy val pipeline = Executors.newSingleThreadExecutor(daemons("repro-pipeline"))
-
-  private def task[T](f: => T): Callable[T] = new Callable[T] { def call(): T = f }
-
-  /** `f(0), …, f(n - 1)` on the pool, results in index order. Waits for every
-    * task; if any failed, rethrows the failure of the lowest index as thrown.
+  /** Completes when every one of `futures` has completed: with their results
+    * in order, or, if any failed, with the first failure in order.
     */
-  def map[T](n: Int)(f: Int => T): IndexedSeq[T] =
-    await((0 until n).map(i => workers.submit(task(f(i)))))
+  def all[T](futures: Seq[CompletableFuture[T]]): CompletableFuture[IndexedSeq[T]] =
+    CompletableFuture.allOf(futures: _*).handle((_, _) => futures.map(_.join()).toIndexedSeq)
 
-  /** Runs `f` on the pipeline thread after every stage submitted before it.
-    * Its future must not be awaited on a pool worker or on the pipeline
-    * thread itself.
-    */
-  def later[T](f: => T): Future[T] = pipeline.submit(task(f))
+  /** Waits for `future` and returns its result, or rethrows its failure as thrown. */
+  def await[T](future: CompletableFuture[T]): T =
+    try future.get() catch { case e: ExecutionException => throw e.getCause }
 
-  /** The results of `futures` in order. Waits for every one; if any failed,
-    * rethrows the first failure in order as thrown.
+  /** Runs `start` on the caller's thread; `start` adds the futures it starts
+    * to the buffer it is given. Returns their results in the order added.
+    * Waits for every future added, also when `start` throws; the first failed
+    * future in order wins over a failure of `start`, which is rethrown last.
     */
-  def await[T](futures: Seq[Future[T]]): IndexedSeq[T] = {
-    futures.foreach(fu => try fu.get() catch { case _: ExecutionException => })
-    futures.map(fu => try fu.get() catch { case e: ExecutionException => throw e.getCause }).toIndexedSeq
+  def gather[T](start: mutable.Growable[CompletableFuture[T]] => Unit): IndexedSeq[T] = {
+    val started = mutable.ArrayBuffer.empty[CompletableFuture[T]]
+    try start(started) catch { case e: Throwable => await(all(started.toSeq)); throw e }
+    await(all(started.toSeq))
   }
 }

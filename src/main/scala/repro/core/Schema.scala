@@ -25,8 +25,13 @@ final case class TableSchema(columns: IndexedSeq[ColumnDef]) {
   private val byName: Map[String, Int] = names.zipWithIndex.toMap
 
   def size: Int = columns.size
-  def indexOf(col: String): Int =
-    byName.getOrElse(col, throw new IllegalArgumentException(s"unknown column $col in $names"))
+  // `Query.matchesRow` resolves names per row: the default is a constant, so
+  // no closure is allocated per call
+  def indexOf(col: String): Int = {
+    val j = byName.getOrElse(col, -1)
+    if (j < 0) throw new IllegalArgumentException(s"unknown column $col in $names")
+    j
+  }
   def apply(i: Int): ColumnDef = columns(i)
 }
 

@@ -105,11 +105,15 @@ object Lab {
   def templateBest(data: DataMatrix, ds: DatasetSpec, gen: LayoutGen, k: Int): Map[Int, LayoutState] = {
     val rng = new Random(BestSeed)
     val sample = data.sample(SampleRows, BestSeed)
-    ds.templates.indices.map { t =>
-      val qs = Vector.tabulate(BestQueries)(i => Query(i, t, ds.templates(t).instantiate(rng)))
-      val layout = gen.generate(sample, qs, k, s"best-t$t-${gen.name}")
-      t -> CandidateStream.state(layout, data)
-    }.toMap
+    // layouts grow here, one template after another, while earlier
+    // templates' metadata builds on the pool
+    Pool.gather[LayoutState] { started =>
+      for (t <- ds.templates.indices) {
+        val qs = Vector.tabulate(BestQueries)(i => Query(i, t, ds.templates(t).instantiate(rng)))
+        val layout = gen.generate(sample, qs, k, s"best-t$t-${gen.name}")
+        started += CandidateStream.stateAsync(layout, data)
+      }
+    }.zipWithIndex.map { case (s, t) => t -> s }.toMap
   }
 
   /** Average results of several seeds (the paper reports 3-run averages for

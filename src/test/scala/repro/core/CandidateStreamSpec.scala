@@ -71,11 +71,17 @@ class CandidateStreamSpec extends SparkSpec {
     * `generate` throws at the epochs of `genFails`; the layouts of the
     * epochs of `badRoutes` route every row outside `[0, 2)`, once `release`
     * is open (so that their metadata fails); the layout of `slow` takes a
-    * while to route. Rows routed per epoch are counted in `routed`.
+    * while to route; the layout of an epoch `e` in `waitsFor` holds its
+    * first routed row until epoch `waitsFor(e)` routes a row, and fails the
+    * build if that takes more than 10 s. Rows routed per epoch are counted
+    * in `routed`.
     */
   private final class Scripted(genFails: Set[Int] = Set.empty, badRoutes: Set[Int] = Set.empty,
-                               slow: Int = -1, release: CountDownLatch = new CountDownLatch(0)) extends LayoutGen {
+                               slow: Int = -1, release: CountDownLatch = new CountDownLatch(0),
+                               waitsFor: Map[Int, Int] = Map.empty) extends LayoutGen {
     val routed: mutable.Map[Int, AtomicInteger] = mutable.Map.empty
+    /** Per epoch (1 to 10), opened when its layout routes its first row. */
+    private val routing = IndexedSeq.fill(11)(new CountDownLatch(1))
     override val name = "scripted"
     override def generate(sample: DataMatrix, queries: Seq[Query], k: Int, id: String): Layout = {
       val e = epochOf(id)
@@ -90,7 +96,13 @@ class CandidateStreamSpec extends SparkSpec {
         override def id: String = layoutId
         override def numPartitions = 2
         override def bidOf(get: Int => Double): Int = {
-          if (count.incrementAndGet() == 1 && e == slow) Thread.sleep(300)
+          val first = count.incrementAndGet() == 1
+          if (first) {
+            routing(e).countDown()
+            for (w <- waitsFor.get(e) if !routing(w).await(10, TimeUnit.SECONDS))
+              throw new IllegalStateException(s"epoch $w's routing did not start within 10 s of epoch $e's")
+          }
+          if (first && e == slow) Thread.sleep(300)
           if (badRoutes(e)) { release.await(10, TimeUnit.SECONDS); 7 }
           else if (get(0) < 1000) 0 else 1
         }
@@ -141,5 +153,14 @@ class CandidateStreamSpec extends SparkSpec {
     assert(gen.routed.keySet == Set(1, 2, 3, 4))
     assert(gen.routed.values.forall(_.get == n), gen.routed.map { case (e, c) => e -> c.get })
     assertServesNextCall()
+  }
+
+  test("epochs' metadata builds run concurrently") {
+    // epoch 1's build holds a pool worker until epoch 2's build routes a row
+    assume(Pool.size >= 2, "one pool worker cannot run two builds at once")
+    val gen = new Scripted(waitsFor = Map(1 -> 2))
+    assert(view(CandidateStream.compute(workload, data, gen, SW, cfg)) ==
+      view(sequential(workload, data, new Scripted(), SW, cfg)))
+    assert(gen.routed.size == 10 && gen.routed.values.forall(_.get == n))
   }
 }

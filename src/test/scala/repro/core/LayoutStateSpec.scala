@@ -77,14 +77,16 @@ class LayoutStateSpec extends AnyFunSuite {
     val qs = for (id <- 0 until 300; v <- Seq(id % 10, (id + 5) % 10); _ <- 0 until 2) yield query(v, id)
     val expected = qs.map(q => states.map(_.metadata.fractionAccessed(q)))
     val tasks = math.max(4, 2 * Pool.size)
-    val ok = Pool.map(tasks) { t =>
-      val rng = new scala.util.Random(t)
-      (0 until 20000).forall { _ =>
-        val i = rng.nextInt(qs.size)
-        val j = rng.nextInt(states.size)
-        states(j).cost(qs(i)) == expected(i)(j)
+    val ok = Pool.await(Pool.all((0 until tasks).map { t =>
+      Pool.async {
+        val rng = new scala.util.Random(t)
+        (0 until 20000).forall { _ =>
+          val i = rng.nextInt(qs.size)
+          val j = rng.nextInt(states.size)
+          states(j).cost(qs(i)) == expected(i)(j)
+        }
       }
-    }
+    }))
     assert(ok.forall(identity))
     for ((q, i) <- qs.zipWithIndex; j <- states.indices) assert(states(j).cost(q) == expected(i)(j))
   }

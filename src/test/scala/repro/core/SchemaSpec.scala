@@ -10,7 +10,8 @@ class SchemaSpec extends SparkSpec {
   test("indexOf resolves columns and rejects unknowns") {
     assert(schema.indexOf("a") == 0)
     assert(schema.indexOf("b") == 1)
-    assertThrows[IllegalArgumentException](schema.indexOf("nope"))
+    val e = intercept[IllegalArgumentException](schema.indexOf("nope"))
+    assert(e.getMessage == s"unknown column nope in ${schema.names}")
   }
 
   test("matrix row accessor returns column values by index") {
@@ -62,7 +63,7 @@ class SchemaSpec extends SparkSpec {
     val wide = TableSchema((0 until 3).map(j => ColumnDef(s"c$j")))
     for (_ <- 1 to 20) {
       val m = DataMatrix(wide, Array.fill(3)(Array.fill(2000)(rng.nextInt(50).toDouble)))
-      val orders = Pool.map(4 * wide.size)(i => m.orderOf(i % wide.size))
+      val orders = Pool.await(Pool.all((0 until 4 * wide.size).map(i => Pool.async(m.orderOf(i % wide.size)))))
       for (i <- orders.indices) {
         val j = i % wide.size
         assert(orders(i) eq m.orderOf(j), "every caller gets the published order")
