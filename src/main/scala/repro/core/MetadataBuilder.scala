@@ -1,22 +1,22 @@
 package repro.core
 
 import java.util.concurrent.CompletableFuture
-import org.apache.spark.sql.{DataFrame, functions => F}
+import org.apache.spark.sql.DataFrame
 import repro.layout.Layout
-import repro.spark.BidTable
 
 /** Builds [[LayoutMetadata]] (per-partition row counts, min/max, categorical
-  * distinct codes) for a layout over a dataset.
+  * distinct codes) for a layout over a dataset, on the driver: every row is
+  * routed by the layout's `bidOf` and aggregated per BID, in one place
+  * ([[fromMatrixAsync]]).
   *
-  * Two modes:
-  *  - `fromDataFrame` — exact, via a Spark `groupBy(BID)` aggregation; used
-  *    by the physical Parquet path and by correctness tests.
-  *  - `fromMatrix` — driver-local over an in-memory (sample) matrix; used by
-  *    the simulation so that exploring hundreds of candidate layouts stays
+  *  - `fromMatrix` — over an in-memory (sample) matrix; used by the
+  *    simulation so that exploring hundreds of candidate layouts stays
   *    cheap (the paper likewise estimates costs from metadata, not data).
-  * The two are cross-checked on identical inputs in the test suite. Both
-  * reject layouts of more than [[LayoutMetadata.MaxPartitions]] partitions
-  * and categorical values that are not codes in `[0, MaxDistinct)`.
+  *  - `fromDataFrame` — over a Spark table, collected to the driver by
+  *    [[DataMatrix.collect]] first; used by the physical Parquet path.
+  * Both reject layouts of more than [[LayoutMetadata.MaxPartitions]]
+  * partitions and categorical values that are not codes in
+  * `[0, MaxDistinct)`.
   */
 object MetadataBuilder {
 
@@ -25,8 +25,6 @@ object MetadataBuilder {
     */
   val MaxDistinct = 64
 
-  private def keepsCodes(c: ColumnDef): Boolean = c.isCategorical && c.cardinality <= MaxDistinct
-
   private def checkPartitions(layout: Layout): Int = {
     val k = layout.numPartitions
     require(k <= LayoutMetadata.MaxPartitions,
@@ -34,29 +32,12 @@ object MetadataBuilder {
     k
   }
 
+  /** [[fromMatrix]] over `df` collected to the driver; a layout of too many
+    * partitions is rejected before anything is collected.
+    */
   def fromDataFrame(df: DataFrame, schema: TableSchema, layout: Layout): LayoutMetadata = {
-    val k = checkPartitions(layout)
-    val withBid = df.withColumn("__bid", BidTable.bidColumn(layout, schema))
-    val aggs = schema.columns.flatMap { c =>
-      val base = Seq(F.min(c.name).as(s"min_${c.name}"), F.max(c.name).as(s"max_${c.name}"))
-      if (keepsCodes(c)) base :+ F.collect_set(c.name).as(s"set_${c.name}") else base
-    }
-    val rows = withBid.groupBy("__bid")
-      .agg(F.count(F.lit(1)).as("__cnt"), aggs: _*)
-      .collect()
-      .sortBy(_.getAs[Number]("__bid").intValue())
-    val bids = rows.map(_.getAs[Number]("__bid").intValue())
-    for (b <- bids) require(b >= 0 && b < k, s"layout ${layout.id} routed rows to BID $b outside [0,$k)")
-    val cols = schema.columns
-    new LayoutMetadata(bids, rows.map(_.getAs[Long]("__cnt")), schema.names,
-      cols.map(c => rows.map(_.getAs[Number](s"min_${c.name}").doubleValue())).toArray,
-      cols.map(c => rows.map(_.getAs[Number](s"max_${c.name}").doubleValue())).toArray,
-      cols.map { c =>
-        if (!keepsCodes(c)) null
-        else rows.map(_.getAs[scala.collection.Seq[Any]](s"set_${c.name}").foldLeft(0L) { (m, v) =>
-          m | LayoutMetadata.codeBit(v.asInstanceOf[Number].doubleValue(), c.name)
-        })
-      }.toArray)
+    checkPartitions(layout)
+    fromMatrix(DataMatrix.collect(df, schema), layout)
   }
 
   /** Row accessor for [[Layout.bidOf]] that is moved from row to row. */
@@ -95,7 +76,7 @@ object MetadataBuilder {
     val n = col.length
     val c = m.schema(j)
     var i = 0
-    if (keepsCodes(c)) {
+    if (c.keepsCodes) {
       val cs = new Array[Long](k)
       while (i < n) {
         cs(bidOfRow(i)) |= LayoutMetadata.codeBit(col(i), c.name)

@@ -13,11 +13,14 @@ import org.apache.spark.sql.DataFrame
   *
   * @param name          column name (matches the DataFrame column)
   * @param isCategorical true for dictionary-coded columns; partition metadata
-  *                      then keeps the distinct code set (domains are small)
+  *                      then keeps the distinct code set ([[keepsCodes]])
   * @param cardinality   domain size for categorical columns (codes are
   *                      0 until cardinality); 0 for numeric columns
   */
-final case class ColumnDef(name: String, isCategorical: Boolean = false, cardinality: Int = 0)
+final case class ColumnDef(name: String, isCategorical: Boolean = false, cardinality: Int = 0) {
+  /** Metadata keeps a code mask per partition, and Qd-trees cut on codes. */
+  def keepsCodes: Boolean = isCategorical && cardinality <= MetadataBuilder.MaxDistinct
+}
 
 /** Ordered schema of an encoded table; provides name -> index resolution. */
 final case class TableSchema(columns: IndexedSeq[ColumnDef]) {
@@ -38,7 +41,7 @@ final case class TableSchema(columns: IndexedSeq[ColumnDef]) {
 /** Column-major in-memory copy of (a sample of) an encoded table.
   *
   * Used by the layout generators (which the paper runs on a 0.1–1% data
-  * sample) and by the simulation-mode metadata builder. Column-major layout
+  * sample) and by every [[MetadataBuilder]] build. Column-major layout
   * keeps the routing/aggregation loops cache-friendly.
   */
 final case class DataMatrix(schema: TableSchema, cols: Array[Array[Double]]) {

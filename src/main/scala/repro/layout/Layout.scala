@@ -6,8 +6,8 @@ import scala.reflect.ClassTag
 /** A data layout: a total mapping of rows to partition ids (BIDs).
   *
   * Layouts are pure routing functions; they carry no data. `bidOf` is the
-  * only routing: the sample-based generators, the simulation metadata
-  * builder and Spark's BID column (`BidTable.bidColumn`) all call it.
+  * only routing: the sample-based generators, the metadata builder and
+  * Spark's BID column (`BidTable.bidColumn`) all call it.
   * Each layout of this package is a case class whose fields compare by
   * content, so two layouts built from the same inputs are `==`.
   */

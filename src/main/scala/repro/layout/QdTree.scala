@@ -73,8 +73,7 @@ object QdTree {
     val queryPreds = queries.map(_.preds.toArray).toArray
     val queryCols = queryPreds.map(_.map(p => schema.indexOf(p.colName)))
     val allQueries = Array.range(0, queryPreds.length)
-    val keepDistinct: Array[Boolean] =
-      schema.columns.map(c => c.isCategorical && c.cardinality <= MetadataBuilder.MaxDistinct).toArray
+    val keepDistinct: Array[Boolean] = schema.columns.map(_.keepsCodes).toArray
 
     // A value that is not a code is rejected as fromMatrix rejects it: the
     // first by column, then by row, whether or not a predicate reads the column.

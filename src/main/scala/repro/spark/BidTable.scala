@@ -22,8 +22,9 @@ object BidTable {
 
   /** `layout.bidOf` over the columns of `schema`, in schema order and read as
     * doubles as [[repro.core.DataMatrix.collect]] reads them: one deterministic
-    * UDF of the row. It only materializes BIDs for writes and metadata, never
-    * inside a query plan, so no predicate pushdown is lost.
+    * UDF of the row. It only materializes BIDs for [[write]], never inside a
+    * query plan, so no predicate pushdown is lost; metadata routes the
+    * collected rows through `bidOf` itself ([[repro.core.MetadataBuilder]]).
     */
   def bidColumn(layout: Layout, schema: TableSchema): Column =
     udf((r: Row) => layout.bidOf(r.getDouble))

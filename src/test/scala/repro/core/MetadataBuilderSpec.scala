@@ -2,6 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import repro.layout.{Layout, QdTree, RangeLayout, ZOrder}
+import repro.spark.BidTable
 import scala.collection.immutable.ArraySeq
 import scala.util.Random
 
@@ -78,6 +79,9 @@ class MetadataBuilderSpec extends SparkSpec {
 
   test("fromDataFrame: more than 64 partitions are rejected") {
     assertThrows[IllegalArgumentException](MetadataBuilder.fromDataFrame(toDf(matrix(100)), schema, tooMany))
+    // before anything is collected: this frame has none of the schema's columns
+    val e = intercept[IllegalArgumentException](MetadataBuilder.fromDataFrame(spark.emptyDataFrame, schema, tooMany))
+    assert(e.getMessage == "requirement failed: layout r65 has 65 partitions: the metadata holds at most 64")
   }
 
   /** Categorical column `c` holds a value that is not a code in [0, 64). */
@@ -94,11 +98,17 @@ class MetadataBuilderSpec extends SparkSpec {
     assertThrows[IllegalArgumentException](MetadataBuilder.fromDataFrame(toDf(badCode(2.5)), schema, l))
   }
 
-  /** Spark's BID column routes `m` through `l` exactly as `fromMatrix` does, into more than one partition. */
+  /** `fromDataFrame` over `m` gives `fromMatrix`'s metadata, of more than one
+    * partition, and Spark's BID column routes every row of `m` as `bidOf` does.
+    */
   private def assertSparkMatchesLocal(m: DataMatrix, l: Layout): Unit = {
     val local = MetadataBuilder.fromMatrix(m, l)
     assert(local.partitions.size > 1, l.id)
-    assert(MetadataBuilder.fromDataFrame(toDf(m), schema, l).partitions == local.partitions, l.id)
+    val df = toDf(m)
+    assert(MetadataBuilder.fromDataFrame(df, schema, l).partitions == local.partitions, l.id)
+    val rows = df.withColumn("bid", BidTable.bidColumn(l, schema)).collect()
+    assert(rows.length == m.numRows, l.id)
+    for (r <- rows) assert(r.getInt(2) == l.bidOf(r.getDouble), s"${l.id}: $r")
   }
 
   private val rangeQueries = (0 until 20).map(i => Query(i, 0, Seq(RangePred("a", i * 5.0, i * 5.0 + 4))))

@@ -107,6 +107,14 @@ class BidTableSpec extends SparkSpec {
     assertBidCounts(zPath, zMeta)
   }
 
+  test("fromDataFrame over the written Qd-tree and Z-order tables matches fromMatrix on the driver rows") {
+    for ((path, layout, meta) <- Seq((qdPath, qdLayout, qdMeta), (zPath, zLayout, zMeta))) {
+      val table = BidTable.read(spark, path)
+      assert(table.columns.contains(BidTable.BidCol))
+      assert(MetadataBuilder.fromDataFrame(table, TpchLite.schema, layout).partitions == meta.partitions, layout.id)
+    }
+  }
+
   test("rewritten query equals DuckDB on the full, unfiltered table") {
     val rng = new Random(7)
     assertRewritten(BidTable.read(spark, qdPath), qdMeta,
